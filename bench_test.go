@@ -145,22 +145,25 @@ func BenchmarkRunAllParallel(b *testing.B) {
 }
 
 // benchMatcher measures the windowed nearest-neighbor matcher on synthetic
-// covariates at a given population size (treated = n, control = 2n).
+// covariates at a given population size (treated = n, control = 2n), both
+// views over one panel.
 func benchMatcher(b *testing.B, n int) {
 	rng := randx.New(uint64(n))
-	mk := func(count int, idBase int64) []*dataset.User {
-		us := make([]*dataset.User, count)
-		for i := range us {
-			us[i] = &dataset.User{
-				ID:   idBase + int64(i),
-				RTT:  0.01 + 0.2*rng.Float64(),
-				Loss: unit.LossRate(0.002 * rng.Float64()),
-			}
+	users := make([]dataset.User, 3*n)
+	for i := range users {
+		id := 1 + int64(i)
+		if i >= n {
+			id = int64(10*n + i - n)
 		}
-		return us
+		users[i] = dataset.User{
+			ID:   id,
+			RTT:  0.01 + 0.2*rng.Float64(),
+			Loss: unit.LossRate(0.002 * rng.Float64()),
+		}
 	}
-	treated := mk(n, 1)
-	control := mk(2*n, int64(10*n))
+	all := dataset.BuildPanel(users).All()
+	treated := dataset.View{P: all.P, Idx: all.Idx[:n]}
+	control := dataset.View{P: all.P, Idx: all.Idx[n:]}
 	m := core.Matcher{Confounders: []core.Confounder{core.ConfounderRTT(), core.ConfounderLoss()}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,16 +181,9 @@ func BenchmarkMatcher5000(b *testing.B) { benchMatcher(b, 5000) }
 // width and reports the matched-pair yield as a custom metric.
 func benchCaliper(b *testing.B, caliper float64) {
 	d := benchDataset(b)
-	users := dataset.Select(d.Users, dataset.ByVantage(dataset.VantageDasu))
-	var treated, control []*dataset.User
-	for _, u := range users {
-		switch {
-		case u.Capacity > 6.4e6 && u.Capacity <= 12.8e6:
-			treated = append(treated, u)
-		case u.Capacity > 3.2e6 && u.Capacity <= 6.4e6:
-			control = append(control, u)
-		}
-	}
+	dasu := d.Panel().Where(dataset.ColVantage(dataset.VantageDasu))
+	treated := dasu.Where(dataset.ColCapacityBetween(6.4e6, 12.8e6))
+	control := dasu.Where(dataset.ColCapacityBetween(3.2e6, 6.4e6))
 	m := core.Matcher{
 		Caliper: caliper,
 		Confounders: []core.Confounder{

@@ -108,6 +108,11 @@ type (
 	QED = core.QED
 	// QEDResult reports a quasi-experiment with stratification diagnostics.
 	QEDResult = core.QEDResult
+	// Panel is the columnar form of the user table (Dataset.Panel).
+	Panel = dataset.Panel
+	// View is a row selection over a panel: the population type of
+	// Experiment, QED and Matcher.
+	View = dataset.View
 )
 
 // Reproduction harness.

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bbbench                               # full set → BENCH_9.json
+//	bbbench                               # full set → BENCH_<n+1>.json
 //	bbbench -set smoke -benchtime 100ms   # reduced CI set, shorter runs
 //	bbbench -baseline BENCH_7.json        # also gate: exit 1 on >20% regression
 //	bbbench -baseline auto                # gate against the newest BENCH_<n>.json
@@ -16,7 +16,9 @@
 // compared numerically (BENCH_10 beats BENCH_6 — a lexical sort would get
 // that backwards), and is resolved before the run writes -out, so a run can
 // never gate against its own output. With no baseline present, auto
-// records without gating.
+// records without gating. The default -out is the file after that one,
+// BENCH_<n+1>.json (BENCH_1.json when none exists), so a run with no flags
+// never overwrites a committed baseline.
 //
 // A regression is ns/op exceeding the baseline by more than the tolerance:
 // cur > base × (1 + tolerance). Specs marked GateAllocs additionally hold
@@ -41,7 +43,7 @@ func main() {
 	// forward its -benchtime to testing.Benchmark.
 	testing.Init()
 	var (
-		out       = flag.String("out", "BENCH_9.json", "trajectory file to write")
+		out       = flag.String("out", "", "trajectory file to write (default BENCH_<n+1>.json after the newest BENCH_<n>.json)")
 		set       = flag.String("set", "full", "benchmark set: full or smoke")
 		benchtime = flag.String("benchtime", "1s", "per-benchmark target time (or Nx iteration count)")
 		baseline  = flag.String("baseline", "", "prior trajectory to compare against (or \"auto\" for the newest BENCH_<n>.json); regressions exit nonzero")
@@ -81,8 +83,16 @@ func main() {
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
 		fail(fmt.Errorf("bad -benchtime: %w", err))
 	}
-	// Resolve the baseline before anything is written: -out may itself be a
-	// BENCH_<n>.json, and "auto" must never pick the file this run creates.
+	// Resolve the baseline and the default -out before anything is written:
+	// -out may itself be a BENCH_<n>.json, and "auto" must never pick the
+	// file this run creates.
+	if *out == "" {
+		next, err := bench.NextBaseline(".")
+		if err != nil {
+			fail(err)
+		}
+		*out = next
+	}
 	baselinePath := *baseline
 	if baselinePath == "auto" {
 		var err error

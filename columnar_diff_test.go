@@ -9,10 +9,10 @@ import (
 )
 
 // The columnar differential suite pins the tentpole contract of the
-// struct-of-arrays refactor: a dataset whose panel was built natively
-// during synthesis and the same dataset with the cached panel discarded
-// (forcing every experiment to rebuild columns from the row table) must
-// produce byte-identical canonical artifacts, at any worker count. Any
+// struct-of-arrays refactor: a frozen dataset (one cached panel shared by
+// every experiment) and an unfrozen twin of the same rows (every
+// experiment builds its own columns from the row table) must produce
+// byte-identical canonical artifacts, at any worker count. Any
 // divergence — a column stored at different precision, a dictionary
 // interned in a different order, an aggregation reordered — shows up here
 // as a byte diff in the exact artifact that regressed.
@@ -40,11 +40,15 @@ func TestColumnarRowEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// rowOnly is the same dataset with the synth-built panel
-			// dropped: experiments see identical rows but rebuild the
-			// columnar form themselves.
-			rowOnly := world.Data
-			rowOnly.ResetPanel()
+			// rowOnly is a row-only twin of the frozen dataset: the same
+			// rows, never frozen, so every experiment builds its own
+			// uncached panel.
+			rowOnly := broadband.Dataset{
+				Users:    world.Data.Users,
+				Switches: world.Data.Switches,
+				Plans:    world.Data.Plans,
+				Markets:  world.Data.Markets,
+			}
 
 			want := marshalReports(t, &world.Data, seed, 1)
 			for _, c := range []struct {

@@ -20,21 +20,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Split the end-host population by latency.
-	var fast, slow []*broadband.User
-	for i := range world.Data.Users {
-		u := &world.Data.Users[i]
-		if u.Vantage != broadband.VantageDasu {
-			continue
+	// Populations are views over the columnar user panel: the selected
+	// end-host rows, in panel order.
+	p := world.Data.Panel()
+	dasu := func(keep func(i int) bool) broadband.View {
+		v := broadband.View{P: p}
+		for i := 0; i < p.Len(); i++ {
+			if p.Vantage[i] == broadband.VantageDasu && keep(i) {
+				v.Idx = append(v.Idx, int32(i))
+			}
 		}
-		switch {
-		case u.RTT <= 0.128:
-			fast = append(fast, u)
-		case u.RTT > 0.512:
-			slow = append(slow, u)
-		}
+		return v
 	}
-	fmt.Printf("populations: %d low-latency, %d high-latency users\n\n", len(fast), len(slow))
+	peakNoBT := func(p *broadband.Panel) []float64 { return p.UsagePeakNoBT }
+
+	// Split the end-host population by latency.
+	fast := dasu(func(i int) bool { return p.RTT[i] <= 0.128 })
+	slow := dasu(func(i int) bool { return p.RTT[i] > 0.512 })
+	fmt.Printf("populations: %d low-latency, %d high-latency users\n\n", fast.Len(), slow.Len())
 
 	// The real experiment: H = low-latency users impose higher peak demand,
 	// after matching away capacity, loss and market prices.
@@ -47,7 +50,7 @@ func main() {
 		Treatment: fast,
 		Control:   slow,
 		Matcher:   matcher,
-		Outcome:   func(u *broadband.User) float64 { return float64(u.Usage.PeakNoBT) },
+		Outcome:   peakNoBT,
 	}
 	res, err := exp.Run(nil)
 	if err != nil {
@@ -61,18 +64,8 @@ func main() {
 	// The placebo: an odd user ID cannot cause anything. The same machinery
 	// must report chance-level agreement — if it does not, the design (not
 	// the world) is broken.
-	var odd, even []*broadband.User
-	for i := range world.Data.Users {
-		u := &world.Data.Users[i]
-		if u.Vantage != broadband.VantageDasu {
-			continue
-		}
-		if u.ID%2 == 1 {
-			odd = append(odd, u)
-		} else {
-			even = append(even, u)
-		}
-	}
+	odd := dasu(func(i int) bool { return p.ID[i]%2 == 1 })
+	even := dasu(func(i int) bool { return p.ID[i]%2 == 0 })
 	placebo := broadband.Experiment{
 		Name:      "placebo: odd user id",
 		Treatment: odd,
@@ -80,7 +73,7 @@ func main() {
 		Matcher: broadband.Matcher{Confounders: []broadband.Confounder{
 			broadband.ByCapacity(), broadband.ByRTT(), broadband.ByLoss(),
 		}},
-		Outcome: func(u *broadband.User) float64 { return float64(u.Usage.PeakNoBT) },
+		Outcome: peakNoBT,
 	}
 	pres, err := placebo.Run(nil)
 	if err != nil {

@@ -17,9 +17,34 @@ var baselineRe = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 // trajectory reaches double digits. Resolve the baseline BEFORE writing a
 // new trajectory file, or a run could compare against its own output.
 func LatestBaseline(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
+	n, name, err := latest(dir)
+	if err != nil || n < 0 {
+		return "", err
+	}
+	return filepath.Join(dir, name), nil
+}
+
+// NextBaseline returns the path of the trajectory file that follows the
+// newest BENCH_<n>.json in dir — BENCH_<n+1>.json, or BENCH_1.json when
+// dir holds none — so a default run never overwrites a committed
+// baseline. Like LatestBaseline, resolve it before writing anything.
+func NextBaseline(dir string) (string, error) {
+	n, _, err := latest(dir)
 	if err != nil {
 		return "", err
+	}
+	if n < 0 {
+		n = 0
+	}
+	return filepath.Join(dir, "BENCH_"+strconv.Itoa(n+1)+".json"), nil
+}
+
+// latest returns the highest index among the BENCH_<n>.json files in dir
+// and that file's name, or -1 when there are none.
+func latest(dir string) (int, string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return -1, "", err
 	}
 	best, bestName := -1, ""
 	for _, e := range entries {
@@ -36,8 +61,5 @@ func LatestBaseline(dir string) (string, error) {
 		}
 		best, bestName = idx, e.Name()
 	}
-	if best < 0 {
-		return "", nil
-	}
-	return filepath.Join(dir, bestName), nil
+	return best, bestName, nil
 }

@@ -63,3 +63,29 @@ func TestLatestBaselineEmpty(t *testing.T) {
 		t.Error("LatestBaseline of a missing dir should error")
 	}
 }
+
+// TestNextBaseline pins the default bbbench -out: the file after the
+// newest committed baseline, compared numerically, so a run with no flags
+// never overwrites one.
+func TestNextBaseline(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_6.json", "BENCH_10.json"} {
+		touch(t, dir, name)
+	}
+	got, err := NextBaseline(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, "BENCH_11.json"); got != want {
+		t.Errorf("NextBaseline = %q, want %q", got, want)
+	}
+	empty := t.TempDir()
+	got, err = NextBaseline(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(empty, "BENCH_1.json"); got != want {
+		t.Errorf("NextBaseline(empty) = %q, want %q", got, want)
+	}
+}

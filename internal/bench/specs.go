@@ -223,23 +223,26 @@ func benchWorldBuild(b *testing.B) {
 }
 
 // benchMatcher1000 measures the windowed nearest-neighbor matcher on
-// synthetic covariates (treated = 1000, control = 2000).
+// synthetic covariates (treated = 1000, control = 2000), both views over
+// one panel.
 func benchMatcher1000(b *testing.B) {
 	const n = 1000
 	rng := randx.New(uint64(n))
-	mk := func(count int, idBase int64) []*dataset.User {
-		us := make([]*dataset.User, count)
-		for i := range us {
-			us[i] = &dataset.User{
-				ID:   idBase + int64(i),
-				RTT:  0.01 + 0.2*rng.Float64(),
-				Loss: unit.LossRate(0.002 * rng.Float64()),
-			}
+	users := make([]dataset.User, 3*n)
+	for i := range users {
+		id := 1 + int64(i)
+		if i >= n {
+			id = int64(10*n + i - n)
 		}
-		return us
+		users[i] = dataset.User{
+			ID:   id,
+			RTT:  0.01 + 0.2*rng.Float64(),
+			Loss: unit.LossRate(0.002 * rng.Float64()),
+		}
 	}
-	treated := mk(n, 1)
-	control := mk(2*n, int64(10*n))
+	all := dataset.BuildPanel(users).All()
+	treated := dataset.View{P: all.P, Idx: all.Idx[:n]}
+	control := dataset.View{P: all.P, Idx: all.Idx[n:]}
 	m := core.Matcher{Confounders: []core.Confounder{core.ConfounderRTT(), core.ConfounderLoss()}}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,9 +12,9 @@ import (
 	"github.com/nwca/broadband/internal/unit"
 )
 
-// mkUser builds a minimal user for matching tests.
-func mkUser(id int64, rtt, lossPct, price, capMbps, peakMbps float64) *dataset.User {
-	return &dataset.User{
+// mkUser builds a minimal user row for matching tests.
+func mkUser(id int64, rtt, lossPct, price, capMbps, peakMbps float64) dataset.User {
+	return dataset.User{
 		ID:          id,
 		Country:     "US",
 		RTT:         rtt,
@@ -28,6 +28,15 @@ func mkUser(id int64, rtt, lossPct, price, capMbps, peakMbps float64) *dataset.U
 			MeanNoBT: unit.MbpsOf(peakMbps / 5),
 		},
 	}
+}
+
+// views builds one panel holding the treated rows followed by the control
+// rows and returns a view over each part.
+func views(treated, control []dataset.User) (dataset.View, dataset.View) {
+	rows := append(append([]dataset.User(nil), treated...), control...)
+	all := dataset.BuildPanel(rows).All()
+	n := len(treated)
+	return dataset.View{P: all.P, Idx: all.Idx[:n]}, dataset.View{P: all.P, Idx: all.Idx[n:]}
 }
 
 func qualityMatcher() Matcher {
@@ -57,52 +66,52 @@ func TestWithinCaliper(t *testing.T) {
 
 func TestMatchRespectsCaliper(t *testing.T) {
 	m := qualityMatcher()
-	treated := []*dataset.User{mkUser(1, 0.050, 0.1, 25, 10, 3)}
-	controls := []*dataset.User{
+	treated := []dataset.User{mkUser(1, 0.050, 0.1, 25, 10, 3)}
+	controls := []dataset.User{
 		mkUser(2, 0.200, 0.1, 25, 5, 1),  // RTT too far
 		mkUser(3, 0.055, 0.9, 25, 5, 1),  // loss too far
 		mkUser(4, 0.055, 0.11, 60, 5, 1), // price too far
 	}
-	if pairs := m.Match(treated, controls, nil); len(pairs) != 0 {
+	tv, cv := views(treated, controls)
+	if pairs := m.Match(tv, cv, nil); len(pairs) != 0 {
 		t.Fatalf("matched %d pairs across caliper violations", len(pairs))
 	}
 	controls = append(controls, mkUser(5, 0.058, 0.12, 28, 5, 1))
-	pairs := m.Match(treated, controls, nil)
-	if len(pairs) != 1 || pairs[0].Control.ID != 5 {
+	tv, cv = views(treated, controls)
+	pairs := m.Match(tv, cv, nil)
+	if len(pairs) != 1 || cv.P.ID[pairs[0].Control] != 5 {
 		t.Fatalf("expected the single eligible control, got %+v", pairs)
 	}
 }
 
 func TestMatchPicksNearest(t *testing.T) {
 	m := Matcher{Confounders: []Confounder{ConfounderRTT()}}
-	treated := []*dataset.User{mkUser(1, 0.100, 0, 0, 0, 0)}
-	controls := []*dataset.User{
+	tv, cv := views([]dataset.User{mkUser(1, 0.100, 0, 0, 0, 0)}, []dataset.User{
 		mkUser(2, 0.120, 0, 0, 0, 0),
 		mkUser(3, 0.101, 0, 0, 0, 0),
 		mkUser(4, 0.110, 0, 0, 0, 0),
-	}
-	pairs := m.Match(treated, controls, nil)
-	if len(pairs) != 1 || pairs[0].Control.ID != 3 {
+	})
+	pairs := m.Match(tv, cv, nil)
+	if len(pairs) != 1 || cv.P.ID[pairs[0].Control] != 3 {
 		t.Fatalf("nearest neighbor not chosen: %+v", pairs)
 	}
 }
 
 func TestMatchWithoutReplacement(t *testing.T) {
 	m := Matcher{Confounders: []Confounder{ConfounderRTT()}}
-	treated := []*dataset.User{
+	tv, cv := views([]dataset.User{
 		mkUser(1, 0.100, 0, 0, 0, 0),
 		mkUser(2, 0.100, 0, 0, 0, 0),
 		mkUser(3, 0.100, 0, 0, 0, 0),
-	}
-	controls := []*dataset.User{
+	}, []dataset.User{
 		mkUser(10, 0.100, 0, 0, 0, 0),
 		mkUser(11, 0.101, 0, 0, 0, 0),
-	}
-	pairs := m.Match(treated, controls, randx.New(1))
+	})
+	pairs := m.Match(tv, cv, randx.New(1))
 	if len(pairs) != 2 {
 		t.Fatalf("expected 2 pairs (control exhaustion), got %d", len(pairs))
 	}
-	if pairs[0].Control.ID == pairs[1].Control.ID {
+	if pairs[0].Control == pairs[1].Control {
 		t.Fatal("control reused")
 	}
 }
@@ -113,15 +122,16 @@ func TestMatchCaliperProperty(t *testing.T) {
 	m := qualityMatcher()
 	f := func(seed int64) bool {
 		rng := randx.New(uint64(seed))
-		var treated, controls []*dataset.User
+		var treated, controls []dataset.User
 		for i := 0; i < 30; i++ {
 			treated = append(treated, mkUser(int64(i), 0.02+rng.Float64()*0.5, rng.Float64()*2, 10+rng.Float64()*100, 1, 1))
 			controls = append(controls, mkUser(int64(100+i), 0.02+rng.Float64()*0.5, rng.Float64()*2, 10+rng.Float64()*100, 1, 1))
 		}
-		pairs := m.Match(treated, controls, rng.Split("order"))
+		tv, cv := views(treated, controls)
+		pairs := m.Match(tv, cv, rng.Split("order"))
 		for _, p := range pairs {
 			for _, c := range m.Confounders {
-				if !withinCaliper(c.Value(p.Treated), c.Value(p.Control), DefaultCaliper, c.Floor) {
+				if !withinCaliper(c.Value(tv.P)[p.Treated], c.Value(cv.P)[p.Control], DefaultCaliper, c.Floor) {
 					return false
 				}
 			}
@@ -135,11 +145,15 @@ func TestMatchCaliperProperty(t *testing.T) {
 
 func TestCheckBalance(t *testing.T) {
 	m := Matcher{Confounders: []Confounder{ConfounderRTT()}}
+	tv, cv := views(
+		[]dataset.User{mkUser(1, 0.10, 0, 0, 0, 0), mkUser(3, 0.20, 0, 0, 0, 0)},
+		[]dataset.User{mkUser(2, 0.12, 0, 0, 0, 0), mkUser(4, 0.18, 0, 0, 0, 0)},
+	)
 	pairs := []Pair{
-		{Treated: mkUser(1, 0.10, 0, 0, 0, 0), Control: mkUser(2, 0.12, 0, 0, 0, 0)},
-		{Treated: mkUser(3, 0.20, 0, 0, 0, 0), Control: mkUser(4, 0.18, 0, 0, 0, 0)},
+		{Treated: tv.Idx[0], Control: cv.Idx[0]},
+		{Treated: tv.Idx[1], Control: cv.Idx[1]},
 	}
-	b := m.CheckBalance(pairs)
+	b := m.CheckBalance(tv, cv, pairs)
 	if len(b) != 1 {
 		t.Fatalf("balance rows = %d", len(b))
 	}
@@ -155,7 +169,7 @@ func TestExperimentDetectsRealEffect(t *testing.T) {
 	// Construct a population where treatment (higher capacity) genuinely
 	// raises the outcome; the experiment must find it.
 	rng := randx.New(3)
-	var treated, control []*dataset.User
+	var treated, control []dataset.User
 	for i := 0; i < 120; i++ {
 		rtt := 0.03 + 0.1*rng.Float64()
 		loss := 0.05 + 0.2*rng.Float64()
@@ -165,10 +179,11 @@ func TestExperimentDetectsRealEffect(t *testing.T) {
 		treated = append(treated, mkUser(int64(i), rtt, loss, price, 10, 4*(0.5+rng.Float64())))
 		control = append(control, mkUser(int64(1000+i), rtt*(0.95+0.1*rng.Float64()), loss, price, 5, 2.2*(0.5+rng.Float64())))
 	}
+	tv, cv := views(treated, control)
 	exp := Experiment{
 		Name:      "capacity",
-		Treatment: treated,
-		Control:   control,
+		Treatment: tv,
+		Control:   cv,
 		Matcher:   qualityMatcher(),
 		Outcome:   dataset.PeakUsage,
 	}
@@ -192,16 +207,17 @@ func TestExperimentPlaceboIsNull(t *testing.T) {
 	// the time and fail significance. This is the engine's no-false-effect
 	// guarantee.
 	rng := randx.New(5)
-	var treated, control []*dataset.User
+	var treated, control []dataset.User
 	for i := 0; i < 400; i++ {
 		rtt := 0.03 + 0.1*rng.Float64()
 		treated = append(treated, mkUser(int64(i), rtt, 0.1, 25, 10, 3*(0.5+rng.Float64())))
 		control = append(control, mkUser(int64(1000+i), rtt, 0.1, 25, 10, 3*(0.5+rng.Float64())))
 	}
+	tv, cv := views(treated, control)
 	exp := Experiment{
 		Name:      "placebo",
-		Treatment: treated,
-		Control:   control,
+		Treatment: tv,
+		Control:   cv,
 		Matcher:   Matcher{Confounders: []Confounder{ConfounderRTT()}},
 		Outcome:   dataset.PeakUsage,
 	}
@@ -222,10 +238,11 @@ func TestExperimentErrors(t *testing.T) {
 	if _, err := exp.Run(nil); err == nil {
 		t.Error("missing outcome should error")
 	}
+	tv, cv := views([]dataset.User{mkUser(1, 0.05, 0.1, 25, 10, 1)}, []dataset.User{mkUser(2, 0.05, 0.1, 25, 5, 1)})
 	exp = Experiment{
 		Name:      "thin",
-		Treatment: []*dataset.User{mkUser(1, 0.05, 0.1, 25, 10, 1)},
-		Control:   []*dataset.User{mkUser(2, 0.05, 0.1, 25, 5, 1)},
+		Treatment: tv,
+		Control:   cv,
 		Matcher:   qualityMatcher(),
 		Outcome:   dataset.PeakUsage,
 	}
@@ -304,14 +321,15 @@ func TestResultString(t *testing.T) {
 
 func TestMatcherShuffleDoesNotChangePairCount(t *testing.T) {
 	rng := randx.New(8)
-	var treated, controls []*dataset.User
+	var treated, controls []dataset.User
 	for i := 0; i < 50; i++ {
 		treated = append(treated, mkUser(int64(i), 0.02+rng.Float64()*0.2, 0.1, 25, 10, 1))
 		controls = append(controls, mkUser(int64(100+i), 0.02+rng.Float64()*0.2, 0.1, 25, 5, 1))
 	}
 	m := Matcher{Confounders: []Confounder{ConfounderRTT()}}
-	a := m.Match(treated, controls, randx.New(1))
-	b := m.Match(treated, controls, randx.New(99))
+	tv, cv := views(treated, controls)
+	a := m.Match(tv, cv, randx.New(1))
+	b := m.Match(tv, cv, randx.New(99))
 	// Greedy order can change who pairs with whom, but the overall yield
 	// should be stable within a small margin.
 	if math.Abs(float64(len(a)-len(b))) > 5 {

@@ -12,11 +12,12 @@ import (
 // control, which covariates make them comparable, and which outcome the
 // hypothesis concerns. The hypothesis H is always directional — "treated
 // units show a higher outcome than their matched controls" — with null H0
-// that the ordering is a fair coin.
+// that the ordering is a fair coin. Treatment and Control are views, usually
+// over one shared panel.
 type Experiment struct {
 	Name      string
-	Treatment []*dataset.User
-	Control   []*dataset.User
+	Treatment dataset.View
+	Control   dataset.View
 	Matcher   Matcher
 	Outcome   dataset.Metric
 	// MinPairs guards against vacuous results (default 10).
@@ -65,24 +66,29 @@ func (e Experiment) Run(rng *randx.Source) (Result, error) {
 	if len(pairs) < minPairs {
 		return Result{}, fmt.Errorf("%w: %q matched %d pairs, need %d", ErrTooFewPairs, e.Name, len(pairs), minPairs)
 	}
+	tOut, cOut := e.Outcome(e.Treatment.P), e.Outcome(e.Control.P)
 	holds := 0
 	for _, p := range pairs {
-		if e.Outcome(p.Treated) > e.Outcome(p.Control) {
+		if tOut[p.Treated] > cOut[p.Control] {
 			holds++
 		}
 	}
-	bin, err := stats.BinomialTest(holds, len(pairs), 0.5, stats.TailGreater)
+	res, err := verdict(e.Name, holds, len(pairs))
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Name:     e.Name,
-		Pairs:    len(pairs),
-		Holds:    holds,
-		Binomial: bin,
-		Sig:      bin.Assess(),
-		Balance:  e.Matcher.CheckBalance(pairs),
-	}, nil
+	res.Balance = e.Matcher.CheckBalance(e.Treatment, e.Control, pairs)
+	return res, nil
+}
+
+// verdict runs the one-tailed binomial test of H over pairs comparisons of
+// which holds favored the treatment.
+func verdict(name string, holds, pairs int) (Result, error) {
+	bin, err := stats.BinomialTest(holds, pairs, 0.5, stats.TailGreater)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Name: name, Pairs: pairs, Holds: holds, Binomial: bin, Sig: bin.Assess()}, nil
 }
 
 // PairedMetric extracts the compared quantity from a usage summary in the
@@ -110,15 +116,5 @@ func RunPaired(name string, switches []dataset.Switch, metric PairedMetric) (Res
 			holds++
 		}
 	}
-	bin, err := stats.BinomialTest(holds, len(switches), 0.5, stats.TailGreater)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Name:     name,
-		Pairs:    len(switches),
-		Holds:    holds,
-		Binomial: bin,
-		Sig:      bin.Assess(),
-	}, nil
+	return verdict(name, holds, len(switches))
 }

@@ -28,7 +28,7 @@ const DefaultCaliper = 0.25
 type Confounder struct {
 	// Name labels the confounder in diagnostics.
 	Name string
-	// Value extracts the covariate.
+	// Value selects the covariate's panel column.
 	Value dataset.Metric
 	// Floor is an absolute slack added to the caliper band, for covariates
 	// that legitimately approach zero (e.g. loss rates): |a−b| must not
@@ -38,33 +38,34 @@ type Confounder struct {
 
 // Standard confounder constructors for the covariates the paper matches on.
 func ConfounderRTT() Confounder {
-	return Confounder{Name: "latency", Value: func(u *dataset.User) float64 { return u.RTT }, Floor: 0.002}
+	return Confounder{Name: "latency", Value: func(p *dataset.Panel) []float64 { return p.RTT }, Floor: 0.002}
 }
 
 // ConfounderLoss matches on packet-loss rate.
 func ConfounderLoss() Confounder {
-	return Confounder{Name: "loss", Value: func(u *dataset.User) float64 { return float64(u.Loss) }, Floor: 0.0005}
+	return Confounder{Name: "loss", Value: func(p *dataset.Panel) []float64 { return p.Loss }, Floor: 0.0005}
 }
 
 // ConfounderAccessPrice matches on the market's price of broadband access.
 func ConfounderAccessPrice() Confounder {
-	return Confounder{Name: "access-price", Value: func(u *dataset.User) float64 { return u.AccessPrice.Dollars() }}
+	return Confounder{Name: "access-price", Value: func(p *dataset.Panel) []float64 { return p.AccessPrice }}
 }
 
 // ConfounderUpgradeCost matches on the market's cost of increasing capacity.
 func ConfounderUpgradeCost() Confounder {
-	return Confounder{Name: "upgrade-cost", Value: func(u *dataset.User) float64 { return float64(u.UpgradeCost) }, Floor: 0.02}
+	return Confounder{Name: "upgrade-cost", Value: func(p *dataset.Panel) []float64 { return p.UpgradeCost }, Floor: 0.02}
 }
 
 // ConfounderCapacity matches on measured link capacity.
 func ConfounderCapacity() Confounder {
-	return Confounder{Name: "capacity", Value: func(u *dataset.User) float64 { return float64(u.Capacity) }}
+	return Confounder{Name: "capacity", Value: func(p *dataset.Panel) []float64 { return p.Capacity }}
 }
 
-// Pair is one matched treated/control pair.
+// Pair is one matched treated/control pair: Treated is a row index into
+// the treatment view's panel, Control one into the control view's panel.
 type Pair struct {
-	Treated *dataset.User
-	Control *dataset.User
+	Treated int32
+	Control int32
 }
 
 // Matcher performs greedy one-to-one nearest-neighbor matching without
@@ -81,22 +82,14 @@ func withinCaliper(a, b, caliper, floor float64) bool {
 	return math.Abs(a-b) <= caliper*hi+floor
 }
 
-// distance is the matching distance: the sum of normalized confounder
-// discrepancies (each in [0,1] at the caliper boundary).
-func (m Matcher) distance(a, b *dataset.User, caliper float64) (float64, bool) {
-	total := 0.0
-	for _, c := range m.Confounders {
-		va, vb := c.Value(a), c.Value(b)
-		if !withinCaliper(va, vb, caliper, c.Floor) {
-			return 0, false
-		}
-		hi := math.Max(math.Abs(va), math.Abs(vb))
-		denom := caliper*hi + c.Floor
-		if denom > 0 {
-			total += math.Abs(va-vb) / denom
-		}
+// column reads a metric's column from a view's panel. An empty view reads
+// nothing, so the zero View (which has no panel) is a valid empty
+// population.
+func column(v dataset.View, m dataset.Metric) []float64 {
+	if v.Len() == 0 {
+		return nil
 	}
-	return total, true
+	return m(v.P)
 }
 
 // MatchStats reports the work the matcher did — the diagnostic behind the
@@ -122,8 +115,8 @@ type MatchStats struct {
 // and without replacement. Treated users with no eligible control are
 // dropped (the caliper's purpose). The iteration order is randomized by rng
 // so greedy choices carry no dataset-order bias; pass nil for deterministic
-// input order.
-func (m Matcher) Match(treated, control []*dataset.User, rng *randx.Source) []Pair {
+// view order.
+func (m Matcher) Match(treated, control dataset.View, rng *randx.Source) []Pair {
 	pairs, _ := m.MatchWithStats(treated, control, rng)
 	return pairs
 }
@@ -137,16 +130,17 @@ func (m Matcher) Match(treated, control []*dataset.User, rng *randx.Source) []Pa
 // so the window [v−r, v+r] with r = (caliper·|v| + floor)/(1−caliper) is a
 // superset of the eligible controls whenever caliper < 1. Candidates inside
 // the window still pass through the exact per-confounder distance check,
-// and ties in distance resolve to the lowest original control index — the
-// order the full scan would have found them in — so the selected pairs are
-// identical to the O(T·C) algorithm's.
-func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Source) ([]Pair, MatchStats) {
+// and ties in distance resolve to the lowest control position in the view
+// — the order the full scan would have found them in — so the selected
+// pairs are identical to the O(T·C) algorithm's.
+func (m Matcher) MatchWithStats(treated, control dataset.View, rng *randx.Source) ([]Pair, MatchStats) {
 	caliper := m.Caliper
 	if caliper <= 0 {
 		caliper = DefaultCaliper
 	}
-	stats := MatchStats{Treated: len(treated)}
-	order := make([]int, len(treated))
+	nt, nctl := treated.Len(), control.Len()
+	stats := MatchStats{Treated: nt}
+	order := make([]int, nt)
 	for i := range order {
 		order[i] = i
 	}
@@ -154,36 +148,36 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 
-	// Covariates are gathered into row-major matrices up front, one
-	// extractor call per (user, confounder), so the candidate scan below
-	// works on flat float64 slices instead of re-invoking Value closures
-	// for every pair it examines.
+	// Covariates are gathered from the panel columns into row-major
+	// matrices (one row per view position) up front, so the candidate scan
+	// below reads each candidate's confounders from one contiguous run.
 	nc := len(m.Confounders)
 	floors := make([]float64, nc)
-	tvals := make([]float64, nc*len(treated))
-	cvals := make([]float64, nc*len(control))
+	tvals := make([]float64, nc*nt)
+	cvals := make([]float64, nc*nctl)
 	for j, c := range m.Confounders {
 		floors[j] = c.Floor
-		for i, u := range treated {
-			tvals[i*nc+j] = c.Value(u)
+		tcol, ccol := column(treated, c.Value), column(control, c.Value)
+		for k, i := range treated.Idx {
+			tvals[k*nc+j] = tcol[i]
 		}
-		for i, u := range control {
-			cvals[i*nc+j] = c.Value(u)
+		for k, i := range control.Idx {
+			cvals[k*nc+j] = ccol[i]
 		}
 	}
 
 	// Sorted view of the controls on the first confounder. The sort is by
-	// (value, original index), so window scans visit candidates in a
+	// (value, view position), so window scans visit candidates in a
 	// deterministic order whatever sort.Slice does with equal values.
 	windowed := nc > 0 && caliper < 1
 	var firstFloor float64
 	var ctlVals []float64 // control value on the first confounder, by sorted position
-	var ctlIdx []int      // original control index, by sorted position
+	var ctlIdx []int      // control view position, by sorted position
 	if windowed {
 		firstFloor = floors[0]
-		ctlVals = make([]float64, len(control))
-		ctlIdx = make([]int, len(control))
-		for i := range control {
+		ctlVals = make([]float64, nctl)
+		ctlIdx = make([]int, nctl)
+		for i := range ctlIdx {
 			ctlIdx[i] = i
 		}
 		sort.Slice(ctlIdx, func(a, b int) bool {
@@ -198,12 +192,11 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 		}
 	}
 
-	used := make([]bool, len(control))
+	used := make([]bool, nctl)
 	var pairs []Pair
 	for _, ti := range order {
-		t := treated[ti]
 		tv := tvals[ti*nc : ti*nc+nc]
-		lo, hi := 0, len(control)
+		lo, hi := 0, nctl
 		if windowed {
 			v := tv[0]
 			r := (caliper*math.Abs(v) + firstFloor) / (1 - caliper)
@@ -228,9 +221,11 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 				continue
 			}
 			stats.CandidatesExamined++
-			// Inlined distance over the gathered matrices: the arithmetic is
-			// operation-for-operation the same as Matcher.distance, so the
-			// selected pairs are bit-identical to the closure-based scan.
+			// Normalized distance: the sum over confounders of |a−b| over
+			// the caliper band, each term in [0,1] inside the caliper. The
+			// arithmetic must stay operation-for-operation that of the
+			// reference distance in match_window_test.go, which pins the
+			// selected pairs.
 			cv := cvals[ci*nc : ci*nc+nc]
 			d := 0.0
 			ok := true
@@ -271,13 +266,16 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 		}
 		if best >= 0 {
 			used[best] = true
-			pairs = append(pairs, Pair{Treated: t, Control: control[best]})
+			pairs = append(pairs, Pair{Treated: treated.Idx[ti], Control: control.Idx[best]})
 		} else {
 			stats.Unmatched++
 		}
 	}
 	// Stable output order (by treated user ID) regardless of shuffle.
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Treated.ID < pairs[j].Treated.ID })
+	if len(pairs) > 0 {
+		ids := treated.P.ID
+		sort.Slice(pairs, func(i, j int) bool { return ids[pairs[i].Treated] < ids[pairs[j].Treated] })
+	}
 	return pairs, stats
 }
 
@@ -290,14 +288,18 @@ type Balance struct {
 	MeanControl float64
 }
 
-// CheckBalance computes the balance table for a matched set.
-func (m Matcher) CheckBalance(pairs []Pair) []Balance {
+// CheckBalance computes the balance table for a matched set drawn from
+// the treated and control views.
+func (m Matcher) CheckBalance(treated, control dataset.View, pairs []Pair) []Balance {
 	out := make([]Balance, 0, len(m.Confounders))
 	for _, c := range m.Confounders {
 		var t, ctl float64
-		for _, p := range pairs {
-			t += c.Value(p.Treated)
-			ctl += c.Value(p.Control)
+		if len(pairs) > 0 {
+			tcol, ccol := c.Value(treated.P), c.Value(control.P)
+			for _, p := range pairs {
+				t += tcol[p.Treated]
+				ctl += ccol[p.Control]
+			}
 		}
 		n := float64(len(pairs))
 		if n > 0 {

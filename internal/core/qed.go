@@ -8,7 +8,6 @@ import (
 
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/randx"
-	"github.com/nwca/broadband/internal/stats"
 )
 
 // Quasi-experimental design (QED): the alternative the paper weighs against
@@ -37,8 +36,8 @@ func (r QEDResult) String() string {
 // QED is a stratified quasi-experiment specification.
 type QED struct {
 	Name      string
-	Treatment []*dataset.User
-	Control   []*dataset.User
+	Treatment dataset.View
+	Control   dataset.View
 	// Confounders are discretized into multiplicative bins of width
 	// BinRatio (default 1.5; a pair in the same bin differs by at most
 	// that factor — comparable to the 25% caliper at ratio 1.25²).
@@ -48,23 +47,33 @@ type QED struct {
 	MinPairs    int
 }
 
-// cellKey discretizes one user's confounder vector.
-func (q QED) cellKey(u *dataset.User, binRatio float64) string {
-	var b strings.Builder
-	for i, c := range q.Confounders {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		v := c.Value(u)
-		switch {
-		case v <= c.Floor:
-			b.WriteString("lo") // everything under the floor is one bin
-		default:
-			idx := int(math.Floor(math.Log(v) / math.Log(binRatio)))
-			fmt.Fprintf(&b, "%d", idx)
-		}
+// cellKeys discretizes the confounder vector of every row in v, in view
+// order.
+func (q QED) cellKeys(v dataset.View, binRatio float64) []string {
+	cols := make([][]float64, len(q.Confounders))
+	for j, c := range q.Confounders {
+		cols[j] = column(v, c.Value)
 	}
-	return b.String()
+	keys := make([]string, v.Len())
+	var b strings.Builder
+	for k, i := range v.Idx {
+		b.Reset()
+		for j, c := range q.Confounders {
+			if j > 0 {
+				b.WriteByte('|')
+			}
+			val := cols[j][i]
+			switch {
+			case val <= c.Floor:
+				b.WriteString("lo") // everything under the floor is one bin
+			default:
+				idx := int(math.Floor(math.Log(val) / math.Log(binRatio)))
+				fmt.Fprintf(&b, "%d", idx)
+			}
+		}
+		keys[k] = b.String()
+	}
+	return keys
 }
 
 // Run stratifies, pairs within cells, and evaluates the hypothesis that
@@ -82,25 +91,25 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 		minPairs = 10
 	}
 
+	// Cells hold panel row indices of their treated and control members.
 	type cell struct {
-		treated []*dataset.User
-		control []*dataset.User
+		treated []int32
+		control []int32
 	}
 	cells := map[string]*cell{}
-	for _, u := range q.Treatment {
-		k := q.cellKey(u, binRatio)
-		if cells[k] == nil {
-			cells[k] = &cell{}
+	for k, key := range q.cellKeys(q.Treatment, binRatio) {
+		if cells[key] == nil {
+			cells[key] = &cell{}
 		}
-		cells[k].treated = append(cells[k].treated, u)
+		cells[key].treated = append(cells[key].treated, q.Treatment.Idx[k])
 	}
-	for _, u := range q.Control {
-		k := q.cellKey(u, binRatio)
-		if cells[k] == nil {
-			cells[k] = &cell{}
+	for k, key := range q.cellKeys(q.Control, binRatio) {
+		if cells[key] == nil {
+			cells[key] = &cell{}
 		}
-		cells[k].control = append(cells[k].control, u)
+		cells[key].control = append(cells[key].control, q.Control.Idx[k])
 	}
+	tOut, cOut := column(q.Treatment, q.Outcome), column(q.Control, q.Outcome)
 
 	// Deterministic cell order, then random pairing within each cell.
 	keys := make([]string, 0, len(cells))
@@ -124,7 +133,7 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 		cOrder := permute(len(c.control), rng)
 		for i := 0; i < n; i++ {
 			pairs++
-			if q.Outcome(c.treated[tOrder[i]]) > q.Outcome(c.control[cOrder[i]]) {
+			if tOut[c.treated[tOrder[i]]] > cOut[c.control[cOrder[i]]] {
 				holds++
 			}
 		}
@@ -132,21 +141,11 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 	if pairs < minPairs {
 		return QEDResult{}, fmt.Errorf("%w: QED %q paired %d, need %d", ErrTooFewPairs, q.Name, pairs, minPairs)
 	}
-	bin, err := stats.BinomialTest(holds, pairs, 0.5, stats.TailGreater)
+	res, err := verdict(q.Name, holds, pairs)
 	if err != nil {
 		return QEDResult{}, err
 	}
-	return QEDResult{
-		Result: Result{
-			Name:     q.Name,
-			Pairs:    pairs,
-			Holds:    holds,
-			Binomial: bin,
-			Sig:      bin.Assess(),
-		},
-		Cells:       len(cells),
-		PairedCells: pairedCells,
-	}, nil
+	return QEDResult{Result: res, Cells: len(cells), PairedCells: pairedCells}, nil
 }
 
 func permute(n int, rng *randx.Source) []int {

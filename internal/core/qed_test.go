@@ -10,7 +10,8 @@ import (
 	"github.com/nwca/broadband/internal/randx"
 )
 
-func qedPopulations(effect bool) (treated, control []*dataset.User) {
+func qedPopulations(effect bool) (treated, control dataset.View) {
+	var tRows, cRows []dataset.User
 	rng := randx.New(17)
 	for i := 0; i < 300; i++ {
 		rtt := 0.03 + 0.15*rng.Float64()
@@ -21,13 +22,13 @@ func qedPopulations(effect bool) (treated, control []*dataset.User) {
 		if effect {
 			peakT *= 1.6
 		}
-		treated = append(treated, mkUser(int64(i), rtt, loss, price, 10, peakT))
-		control = append(control, mkUser(int64(1000+i), rtt*(0.9+0.2*rng.Float64()), loss, price, 5, peakC))
+		tRows = append(tRows, mkUser(int64(i), rtt, loss, price, 10, peakT))
+		cRows = append(cRows, mkUser(int64(1000+i), rtt*(0.9+0.2*rng.Float64()), loss, price, 5, peakC))
 	}
-	return treated, control
+	return views(tRows, cRows)
 }
 
-func qedSpec(treated, control []*dataset.User) QED {
+func qedSpec(treated, control dataset.View) QED {
 	return QED{
 		Name:      "qed",
 		Treatment: treated,
@@ -103,7 +104,7 @@ func TestQEDValidation(t *testing.T) {
 	if _, err := (QED{Name: "x"}).Run(nil); err == nil {
 		t.Error("missing outcome should error")
 	}
-	q := qedSpec([]*dataset.User{mkUser(1, 0.05, 0.1, 25, 10, 1)}, []*dataset.User{mkUser(2, 0.4, 1.5, 80, 5, 1)})
+	q := qedSpec(views([]dataset.User{mkUser(1, 0.05, 0.1, 25, 10, 1)}, []dataset.User{mkUser(2, 0.4, 1.5, 80, 5, 1)}))
 	_, err := q.Run(nil)
 	if !errors.Is(err, ErrTooFewPairs) {
 		t.Errorf("want ErrTooFewPairs, got %v", err)
@@ -129,13 +130,16 @@ func TestQEDDeterministicWithoutRNG(t *testing.T) {
 func TestQEDCellKeyFloors(t *testing.T) {
 	q := QED{Confounders: []Confounder{ConfounderLoss()}}
 	// Values at or below the floor share the "lo" bin.
-	a := mkUser(1, 0.05, 0.0, 25, 10, 1)
-	b := mkUser(2, 0.05, 0.04, 25, 10, 1) // 0.0004 < floor 0.0005
-	if q.cellKey(a, 1.5) != q.cellKey(b, 1.5) {
+	v, _ := views([]dataset.User{
+		mkUser(1, 0.05, 0.0, 25, 10, 1),
+		mkUser(2, 0.05, 0.04, 25, 10, 1), // 0.0004 < floor 0.0005
+		mkUser(3, 0.05, 2.0, 25, 10, 1),
+	}, nil)
+	keys := q.cellKeys(v, 1.5)
+	if keys[0] != keys[1] {
 		t.Error("sub-floor losses should share a bin")
 	}
-	c := mkUser(3, 0.05, 2.0, 25, 10, 1)
-	if q.cellKey(a, 1.5) == q.cellKey(c, 1.5) {
+	if keys[0] == keys[2] {
 		t.Error("2% loss must not share the sub-floor bin")
 	}
 }

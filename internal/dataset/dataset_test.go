@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/nwca/broadband/internal/market"
-	"github.com/nwca/broadband/internal/stats"
 	"github.com/nwca/broadband/internal/unit"
 )
 
@@ -214,50 +213,30 @@ func TestSaveDir(t *testing.T) {
 	}
 }
 
-func TestSelectAndPredicates(t *testing.T) {
-	d := sampleDataset()
-	us := Select(d.Users, ByCountry("US"))
-	if len(us) != 2 {
-		t.Errorf("ByCountry(US) = %d users", len(us))
-	}
-	notUS := Select(d.Users, NotCountry("US"))
-	if len(notUS) != 1 || notUS[0].Country != "JP" {
-		t.Errorf("NotCountry(US) wrong: %d", len(notUS))
-	}
-	dasu := Select(d.Users, ByVantage(VantageDasu), ByYear(2012))
-	if len(dasu) != 3 {
-		t.Errorf("vantage+year = %d users", len(dasu))
-	}
-	fast := Select(d.Users, ByTier(stats.TierOver32))
-	if len(fast) != 1 || fast[0].ID != 3 {
-		t.Errorf("ByTier(>32) wrong")
-	}
-	mid := Select(d.Users, CapacityBetween(unit.MbpsOf(5), unit.MbpsOf(20)))
-	if len(mid) != 1 || mid[0].ID != 1 {
-		t.Errorf("CapacityBetween wrong")
-	}
-	cls := stats.ClassOf(unit.MbpsOf(1.9))
-	inClass := Select(d.Users, ByClass(cls))
-	if len(inClass) != 1 || inClass[0].ID != 2 {
-		t.Errorf("ByClass wrong: %d", len(inClass))
-	}
-}
-
 func TestMetricsAndHelpers(t *testing.T) {
 	d := sampleDataset()
-	all := All(d.Users)
-	if len(all) != 3 {
-		t.Fatalf("All = %d", len(all))
-	}
-	vals := Values(all, PeakUsageNoBT)
-	for _, v := range vals {
-		if v != float64(unit.MbpsOf(1.2)) {
-			t.Errorf("PeakUsageNoBT = %v", v)
+	p := BuildPanel(d.Users)
+	for name, m := range map[string]struct {
+		metric Metric
+		want   unit.Bitrate
+	}{
+		"MeanUsage":     {MeanUsage, unit.KbpsOf(200)},
+		"PeakUsage":     {PeakUsage, unit.MbpsOf(1.5)},
+		"MeanUsageNoBT": {MeanUsageNoBT, unit.KbpsOf(150)},
+		"PeakUsageNoBT": {PeakUsageNoBT, unit.MbpsOf(1.2)},
+	} {
+		col := m.metric(p)
+		if len(col) != len(d.Users) {
+			t.Fatalf("%s selected %d rows, want %d", name, len(col), len(d.Users))
+		}
+		for _, v := range col {
+			if v != float64(m.want) {
+				t.Errorf("%s = %v, want %v", name, v, float64(m.want))
+			}
 		}
 	}
-	caps := Capacities(all)
-	if caps[2] != float64(unit.MbpsOf(47.5)) {
-		t.Errorf("Capacities[2] = %v", caps[2])
+	if p.Capacity[2] != float64(unit.MbpsOf(47.5)) {
+		t.Errorf("Capacity[2] = %v", p.Capacity[2])
 	}
 	// Utilization is peak-no-BT over capacity, clamped to 1.
 	u := d.Users[0]
@@ -272,20 +251,6 @@ func TestMetricsAndHelpers(t *testing.T) {
 	u.Capacity = 0
 	if u.PeakUtilization() != 0 {
 		t.Error("zero capacity utilization must be 0")
-	}
-}
-
-func TestMarketOfAndCountryUsers(t *testing.T) {
-	d := sampleDataset()
-	m, ok := d.MarketOf(&d.Users[2])
-	if !ok || m.Country.Code != "JP" {
-		t.Errorf("MarketOf(JP user) = %+v, %v", m, ok)
-	}
-	if users := d.CountryUsers("US"); len(users) != 2 {
-		t.Errorf("CountryUsers(US) = %d", len(users))
-	}
-	if users := d.CountryUsers("ZZ"); users != nil {
-		t.Errorf("CountryUsers(ZZ) = %v", users)
 	}
 }
 

@@ -57,11 +57,12 @@ func (d *Dict) Len() int { return len(d.vals) }
 // vector instead of a pointer list.
 //
 // Panel is a projection of []User, not a replacement: rows materialize
-// back via UserAt/Users/Source (for CSV I/O, UserSource streaming and the
-// matcher, which stay row-based), and the round-trip User → Panel → User
-// is lossless. Rates, prices and loss fractions are stored as raw float64
-// (bps, USD, fractions) so stats aggregations consume columns directly;
-// the unit newtypes are reapplied on materialization.
+// back via UserAt and View.Source (for CSV I/O and UserSource streaming,
+// which stay row-based), and the round-trip User → Panel → User is
+// lossless. Rates, prices and loss fractions are stored as raw float64
+// (bps, USD, fractions) so stats aggregations and the causal engine
+// consume columns directly; the unit newtypes are reapplied on
+// materialization.
 //
 // A built Panel is immutable by convention and safe for concurrent reads.
 // Row indices are int32: an in-core panel of ≥2^31 rows is far past the
@@ -222,14 +223,19 @@ func (p *Panel) UserAt(i int, u *User) {
 	}
 }
 
-// Users materializes the whole panel back to row form.
-func (p *Panel) Users() []User {
-	out := make([]User, p.Len())
-	for i := range out {
-		p.UserAt(i, &out[i])
-	}
-	return out
-}
+// Metric selects one float64 column of a panel — a demand (or context)
+// figure the causal engine reads by row index. Selectors return the
+// panel's own column, not a copy.
+type Metric func(*Panel) []float64
+
+// Named demand metrics used throughout the experiments. All are in bits
+// per second.
+var (
+	MeanUsage     Metric = func(p *Panel) []float64 { return p.UsageMean }
+	PeakUsage     Metric = func(p *Panel) []float64 { return p.UsagePeak }
+	MeanUsageNoBT Metric = func(p *Panel) []float64 { return p.UsageMeanNoBT }
+	PeakUsageNoBT Metric = func(p *Panel) []float64 { return p.UsagePeakNoBT }
+)
 
 // PeakUtilization returns row i's peak (no-BT) usage as a fraction of
 // measured capacity — the columnar twin of (*User).PeakUtilization.
@@ -260,16 +266,13 @@ func (s *panelSource) Read(u *User) error {
 	return nil
 }
 
-// Source adapts the panel to a UserSource: one row materialized per Read.
-func (p *Panel) Source() UserSource { return p.All().Source() }
-
 // ColPred is a columnar row predicate. It is a two-stage closure: binding
 // to a panel happens once per selection (resolving dictionary codes, so
 // string predicates become integer compares in the row loop), and the
 // returned test is evaluated per row index.
 type ColPred func(p *Panel) func(i int) bool
 
-// ColCountry keeps rows in the given country — ByCountry in columnar form.
+// ColCountry keeps rows in the given country.
 func ColCountry(code string) ColPred {
 	return func(p *Panel) func(int) bool {
 		c, ok := p.Countries.Code(code)
@@ -348,9 +351,11 @@ func evalPreds(tests []func(int) bool, i int) bool {
 
 // View is an index-vector selection over a panel: the rows at Idx, in
 // order. Views chain cheaply (each Where walks only the surviving
-// indices), copy no rows, and iterate in ascending panel order — the same
-// order Select yields — so aggregations over a view are bit-identical to
-// the row-based pipeline they replace.
+// indices), copy no rows, and iterate in ascending panel order — the order
+// of the rows in Dataset.Users — so aggregations over a view are
+// bit-identical to a row-by-row scan. A view is also the population type
+// of the causal engine (core.Experiment, core.QED, core.Matcher). The zero
+// View is empty and has no panel.
 type View struct {
 	P   *Panel
 	Idx []int32
@@ -365,8 +370,7 @@ func (p *Panel) All() View {
 	return View{P: p, Idx: idx}
 }
 
-// Where selects the rows satisfying every predicate — the columnar
-// counterpart of Select, returning indices instead of interior pointers.
+// Where selects the rows satisfying every predicate, in ascending order.
 func (p *Panel) Where(preds ...ColPred) View {
 	tests := bindPreds(p, preds)
 	var idx []int32
@@ -399,21 +403,6 @@ func (v View) Gather(col []float64) []float64 {
 	out := make([]float64, len(v.Idx))
 	for k, i := range v.Idx {
 		out[k] = col[i]
-	}
-	return out
-}
-
-// Users materializes the selected rows as a fresh []*User — the adapter
-// the row-based machinery (the matcher, core.Experiment) consumes. The
-// pointers address a newly allocated backing array, not the panel, so a
-// view selection never pins the full user table the way Select's interior
-// pointers do.
-func (v View) Users() []*User {
-	backing := make([]User, len(v.Idx))
-	out := make([]*User, len(v.Idx))
-	for k, i := range v.Idx {
-		v.P.UserAt(int(i), &backing[k])
-		out[k] = &backing[k]
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"io"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/nwca/broadband/internal/market"
@@ -47,11 +48,7 @@ func TestPanelRoundTrip(t *testing.T) {
 	if p.Len() != len(users) {
 		t.Fatalf("Len = %d, want %d", p.Len(), len(users))
 	}
-	back := p.Users()
-	if !reflect.DeepEqual(users, back) {
-		t.Fatal("User → Panel → User round-trip is not lossless")
-	}
-	// Row-at-a-time materialization agrees with bulk materialization.
+	// User → Panel → User is lossless.
 	var u User
 	for i := range users {
 		p.UserAt(i, &u)
@@ -73,58 +70,109 @@ func TestPanelPeakUtilizationMatchesRow(t *testing.T) {
 	}
 }
 
-// predPairs are matched row/columnar predicate stacks: Select with the
-// Pred side must agree exactly with Where on the ColPred side.
+// Pred, Select and the By* constructors are the row reference for the
+// columnar selection: a plain scan over []User, one predicate call per
+// row. Where must keep exactly the rows Select keeps, in the same order.
+type Pred func(*User) bool
+
+// Select returns the indices of the users satisfying every predicate, in
+// ascending order.
+func Select(users []User, preds ...Pred) []int32 {
+	var out []int32
+next:
+	for i := range users {
+		for _, p := range preds {
+			if !p(&users[i]) {
+				continue next
+			}
+		}
+		out = append(out, int32(i))
+	}
+	return out
+}
+
+func ByCountry(code string) Pred  { return func(u *User) bool { return u.Country == code } }
+func NotCountry(code string) Pred { return func(u *User) bool { return u.Country != code } }
+func ByVantage(v Vantage) Pred    { return func(u *User) bool { return u.Vantage == v } }
+func ByYear(y int) Pred           { return func(u *User) bool { return u.Year == y } }
+func ByTier(t stats.Tier) Pred    { return func(u *User) bool { return stats.TierOf(u.Capacity) == t } }
+func ByClass(c stats.CapacityClass) Pred {
+	return func(u *User) bool { return c.Contains(u.Capacity) }
+}
+func CapacityBetween(lo, hi unit.Bitrate) Pred {
+	return func(u *User) bool { return u.Capacity > lo && u.Capacity <= hi }
+}
+
+// sameSelection fails unless the view holds exactly the rows the reference
+// indices name, in the same order, and each materializes to the source row.
+func sameSelection(t *testing.T, label string, users []User, want []int32, v View) {
+	t.Helper()
+	if len(want) != v.Len() {
+		t.Fatalf("%s: Select kept %d rows, Where kept %d", label, len(want), v.Len())
+	}
+	var u User
+	for k, i := range want {
+		if v.Idx[k] != i {
+			t.Fatalf("%s: row %d: Select index %d vs Where index %d", label, k, i, v.Idx[k])
+		}
+		v.P.UserAt(int(i), &u)
+		if !reflect.DeepEqual(users[i], u) {
+			t.Fatalf("%s: row %d differs after materialization", label, k)
+		}
+	}
+}
+
+// predPairs are matched row/columnar predicate stacks. sample lists the
+// user IDs each stack keeps on sampleDataset's three users (US 9.5 Mbps,
+// US 1.9 Mbps, JP 47.5 Mbps; all end-host, 2012).
 func predPairs() []struct {
-	name string
-	row  []Pred
-	col  []ColPred
+	name   string
+	row    []Pred
+	col    []ColPred
+	sample []int64
 } {
 	return []struct {
-		name string
-		row  []Pred
-		col  []ColPred
+		name   string
+		row    []Pred
+		col    []ColPred
+		sample []int64
 	}{
-		{"country", []Pred{ByCountry("US")}, []ColPred{ColCountry("US")}},
-		{"not-country", []Pred{NotCountry("IN")}, []ColPred{ColNotCountry("IN")}},
-		{"missing-country", []Pred{ByCountry("ZZ")}, []ColPred{ColCountry("ZZ")}},
-		{"missing-not-country", []Pred{NotCountry("ZZ")}, []ColPred{ColNotCountry("ZZ")}},
-		{"vantage", []Pred{ByVantage(VantageGateway)}, []ColPred{ColVantage(VantageGateway)}},
-		{"year", []Pred{ByYear(2012)}, []ColPred{ColYear(2012)}},
-		{"tier", []Pred{ByTier(stats.Tiers()[1])}, []ColPred{ColTier(stats.Tiers()[1])}},
-		{"class", []Pred{ByClass(stats.ClassOf(unit.MbpsOf(3)))}, []ColPred{ColClass(stats.ClassOf(unit.MbpsOf(3)))}},
+		{"country", []Pred{ByCountry("US")}, []ColPred{ColCountry("US")}, []int64{1, 2}},
+		{"not-country", []Pred{NotCountry("IN")}, []ColPred{ColNotCountry("IN")}, []int64{1, 2, 3}},
+		{"not-us", []Pred{NotCountry("US")}, []ColPred{ColNotCountry("US")}, []int64{3}},
+		{"missing-country", []Pred{ByCountry("ZZ")}, []ColPred{ColCountry("ZZ")}, nil},
+		{"missing-not-country", []Pred{NotCountry("ZZ")}, []ColPred{ColNotCountry("ZZ")}, []int64{1, 2, 3}},
+		{"vantage", []Pred{ByVantage(VantageGateway)}, []ColPred{ColVantage(VantageGateway)}, nil},
+		{"year", []Pred{ByYear(2012)}, []ColPred{ColYear(2012)}, []int64{1, 2, 3}},
+		{"vantage-year", []Pred{ByVantage(VantageDasu), ByYear(2012)},
+			[]ColPred{ColVantage(VantageDasu), ColYear(2012)}, []int64{1, 2, 3}},
+		{"tier", []Pred{ByTier(stats.Tiers()[1])}, []ColPred{ColTier(stats.Tiers()[1])}, []int64{2}},
+		{"tier-over-32", []Pred{ByTier(stats.TierOver32)}, []ColPred{ColTier(stats.TierOver32)}, []int64{3}},
+		{"class", []Pred{ByClass(stats.ClassOf(unit.MbpsOf(3)))}, []ColPred{ColClass(stats.ClassOf(unit.MbpsOf(3)))}, []int64{2}},
 		{"capacity", []Pred{CapacityBetween(unit.MbpsOf(2), unit.MbpsOf(20))},
-			[]ColPred{ColCapacityBetween(unit.MbpsOf(2), unit.MbpsOf(20))}},
+			[]ColPred{ColCapacityBetween(unit.MbpsOf(2), unit.MbpsOf(20))}, []int64{1}},
 		{"stack", []Pred{ByCountry("US"), ByVantage(VantageDasu), ByYear(2011)},
-			[]ColPred{ColCountry("US"), ColVantage(VantageDasu), ColYear(2011)}},
-		{"empty-stack", nil, nil},
+			[]ColPred{ColCountry("US"), ColVantage(VantageDasu), ColYear(2011)}, nil},
+		{"empty-stack", nil, nil, []int64{1, 2, 3}},
 	}
 }
 
 func TestWhereMatchesSelect(t *testing.T) {
 	users := panelUsers(200)
 	p := BuildPanel(users)
+	sample := sampleDataset().Users
+	sp := BuildPanel(sample)
 	for _, tc := range predPairs() {
-		sel := Select(users, tc.row...)
-		v := p.Where(tc.col...)
-		if len(sel) != v.Len() {
-			t.Fatalf("%s: Select kept %d, Where kept %d", tc.name, len(sel), v.Len())
+		sameSelection(t, tc.name, users, Select(users, tc.row...), p.Where(tc.col...))
+		// On the hand-built sample the kept users are known in advance.
+		v := sp.Where(tc.col...)
+		sameSelection(t, tc.name+" (sample)", sample, Select(sample, tc.row...), v)
+		var ids []int64
+		for _, i := range v.Idx {
+			ids = append(ids, sp.ID[i])
 		}
-		mats := v.Users()
-		for k := range sel {
-			if !reflect.DeepEqual(*sel[k], *mats[k]) {
-				t.Fatalf("%s: row %d differs between Select and Where", tc.name, k)
-			}
-		}
-		// SelectIdx agrees with both.
-		idx := SelectIdx(users, tc.row...)
-		if len(idx) != len(sel) {
-			t.Fatalf("%s: SelectIdx kept %d, Select kept %d", tc.name, len(idx), len(sel))
-		}
-		for k, j := range idx {
-			if int32(j) != v.Idx[k] {
-				t.Fatalf("%s: SelectIdx[%d] = %d, Where idx = %d", tc.name, k, j, v.Idx[k])
-			}
+		if !reflect.DeepEqual(ids, tc.sample) {
+			t.Errorf("%s: sample kept IDs %v, want %v", tc.name, ids, tc.sample)
 		}
 	}
 }
@@ -200,6 +248,18 @@ func TestDatasetPanelCache(t *testing.T) {
 	if got := d.Panel(); got != f {
 		t.Fatal("Panel() ignored the frozen cache")
 	}
+	// Concurrent readers of a frozen dataset all get the cached panel.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if d.Panel() != f {
+				t.Error("concurrent Panel() on a frozen dataset built a new panel")
+			}
+		}()
+	}
+	wg.Wait()
 	// Mutating the row count invalidates the cache.
 	d.Users = append(d.Users, sampleUser(99, "US", 5))
 	if got := d.Panel(); got == f {
@@ -207,21 +267,6 @@ func TestDatasetPanelCache(t *testing.T) {
 	}
 	if got := d.Freeze(); got == f {
 		t.Fatal("Freeze() kept a stale cache after Users grew")
-	}
-	// AttachPanel rejects a mismatched panel, accepts a matching one.
-	d2 := sampleDataset()
-	d2.AttachPanel(BuildPanel(d2.Users[:1]))
-	if d2.panel != nil {
-		t.Fatal("AttachPanel accepted a panel with the wrong row count")
-	}
-	good := BuildPanel(d2.Users)
-	d2.AttachPanel(good)
-	if d2.Panel() != good {
-		t.Fatal("AttachPanel did not install the matching panel")
-	}
-	d2.ResetPanel()
-	if d2.panel != nil {
-		t.Fatal("ResetPanel left the cache in place")
 	}
 }
 
@@ -248,7 +293,7 @@ func TestDictDeterminism(t *testing.T) {
 }
 
 // FuzzPanelWhere drives random predicate stacks through both selection
-// pipelines: dataset.Select over rows and Panel.Where over columns must
+// pipelines: the row reference Select and Panel.Where over columns must
 // keep exactly the same rows in the same order.
 func FuzzPanelWhere(f *testing.F) {
 	f.Add([]byte{0}, uint8(1))
@@ -292,21 +337,6 @@ func FuzzPanelWhere(f *testing.F) {
 				// no-op: vary stack lengths
 			}
 		}
-		sel := Select(users, row...)
-		v := p.Where(col...)
-		if len(sel) != v.Len() {
-			t.Fatalf("Select kept %d rows, Where kept %d", len(sel), v.Len())
-		}
-		for k := range sel {
-			if sel[k].ID != p.ID[v.Idx[k]] {
-				t.Fatalf("row %d: Select ID %d vs Where ID %d", k, sel[k].ID, p.ID[v.Idx[k]])
-			}
-		}
-		mats := v.Users()
-		for k := range sel {
-			if !reflect.DeepEqual(*sel[k], *mats[k]) {
-				t.Fatalf("row %d differs after materialization", k)
-			}
-		}
+		sameSelection(t, "fuzz", users, Select(users, row...), p.Where(col...))
 	})
 }

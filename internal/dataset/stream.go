@@ -18,7 +18,7 @@ import (
 // Streaming CSV layer: record-at-a-time readers and writers with constant
 // per-row memory. The slice-based API (ReadUsers/WriteUsers and friends) is
 // a thin wrapper over these; experiments that must scale past RAM consume
-// the iterators directly (see SelectFrom / EachUser in filter.go).
+// the iterators directly through UserSource.
 //
 // Readers reuse the csv.Reader record slice (ReuseRecord) and enforce the
 // header's field count on every row; writers encode each record into a
@@ -271,6 +271,32 @@ func newStreamReader(r io.Reader, file string, header []string) (*csv.Reader, er
 	cr.FieldsPerRecord = len(header)
 	return cr, nil
 }
+
+// UserSource yields users one record at a time; Read returns io.EOF after
+// the last user. *UserReader (the streaming CSV iterator) implements it,
+// as do the in-memory adapters UsersOf and View.Source, so out-of-core
+// consumers are written once and run over worlds larger than RAM.
+type UserSource interface {
+	Read(*User) error
+}
+
+// sliceUsers adapts an in-memory slice to UserSource.
+type sliceUsers struct {
+	users []User
+	i     int
+}
+
+func (s *sliceUsers) Read(u *User) error {
+	if s.i >= len(s.users) {
+		return io.EOF
+	}
+	*u = s.users[s.i]
+	s.i++
+	return nil
+}
+
+// UsersOf adapts a user slice to a UserSource.
+func UsersOf(users []User) UserSource { return &sliceUsers{users: users} }
 
 // UserReader iterates a users CSV one record at a time with constant
 // memory. Read fills the caller's User and returns io.EOF after the last

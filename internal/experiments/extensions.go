@@ -91,47 +91,35 @@ func (e *ExtA) Render() string {
 func RunExtA(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	v := dasuView(d, 0)
 	p := v.P
-	var cappedIdx, uncappedIdx []int32
-	for _, i := range v.Idx {
-		if p.PlanCap[i] == 0 {
-			uncappedIdx = append(uncappedIdx, i)
-		} else {
-			cappedIdx = append(cappedIdx, i)
-		}
+	byCap := groupBy(v, func(i int32) bool { return p.PlanCap[i] != 0 })
+	capped, uncapped := byCap[true], byCap[false]
+	if capped.Len() == 0 || uncapped.Len() == 0 {
+		return nil, fmt.Errorf("extA: need both capped (%d) and uncapped (%d) users", capped.Len(), uncapped.Len())
 	}
 	// Class-typical uncapped monthly volume, the pre-treatment yardstick
 	// for whether an allowance binds.
 	classMonthly := map[stats.CapacityClass]float64{}
-	{
-		byClass := map[stats.CapacityClass][]float64{}
-		for _, i := range uncappedIdx {
-			c := stats.ClassOf(unit.Bitrate(p.Capacity[i]))
-			byClass[c] = append(byClass[c], p.UsageMeanNoBT[i]/8*86400*30)
+	for c, cls := range byClass(uncapped) {
+		vols := cls.Gather(p.UsageMeanNoBT)
+		for k := range vols {
+			vols[k] = vols[k] / 8 * 86400 * 30
 		}
-		for c, vols := range byClass {
-			if med, err := stats.Median(vols); err == nil {
-				classMonthly[c] = med
-			}
+		if med, err := stats.Median(vols); err == nil {
+			classMonthly[c] = med
 		}
 	}
-	var tightIdx []int32
-	for _, i := range cappedIdx {
-		if typical, ok := classMonthly[stats.ClassOf(unit.Bitrate(p.Capacity[i]))]; ok && float64(p.PlanCap[i]) < 1.2*typical {
-			tightIdx = append(tightIdx, i)
+	tight := capped.Where(func(p *dataset.Panel) func(int) bool {
+		return func(i int) bool {
+			typical, ok := classMonthly[stats.ClassOf(unit.Bitrate(p.Capacity[i]))]
+			return ok && float64(p.PlanCap[i]) < 1.2*typical
 		}
-	}
-	if len(cappedIdx) == 0 || len(uncappedIdx) == 0 {
-		return nil, fmt.Errorf("extA: need both capped (%d) and uncapped (%d) users", len(cappedIdx), len(uncappedIdx))
-	}
-	capped := dataset.View{P: p, Idx: cappedIdx}.Users()
-	uncapped := dataset.View{P: p, Idx: uncappedIdx}.Users()
-	tight := dataset.View{P: p, Idx: tightIdx}.Users()
-	e := &ExtA{CappedShare: float64(len(capped)) / float64(v.Len())}
+	})
+	e := &ExtA{CappedShare: float64(capped.Len()) / float64(v.Len())}
 	m := core.Matcher{Confounders: []core.Confounder{
 		core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 		core.ConfounderAccessPrice(), core.ConfounderUpgradeCost(),
 	}}
-	run := func(control []*dataset.User, label string) (core.Result, bool, error) {
+	run := func(control dataset.View, label string) (core.Result, bool, error) {
 		exp := core.Experiment{
 			Name:      "uncapped vs " + label,
 			Treatment: uncapped,
@@ -213,15 +201,12 @@ func (e *ExtB) Render() string {
 func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	v := dasuView(d, 0)
 	p := v.P
-	byArch := map[traffic.Archetype][]int32{}
-	for _, i := range v.Idx {
-		byArch[p.Archetype[i]] = append(byArch[p.Archetype[i]], i)
-	}
+	byArch := groupBy(v, func(i int32) traffic.Archetype { return p.Archetype[i] })
 	e := &ExtB{}
 	archs := traffic.Archetypes()
 	sort.Slice(archs, func(i, j int) bool { return archs[i] < archs[j] })
 	for _, a := range archs {
-		idx := byArch[a]
+		idx := byArch[a].Idx
 		if len(idx) < MinGroup {
 			continue
 		}
@@ -241,8 +226,8 @@ func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 
 	exp := core.Experiment{
 		Name:      "streamers vs browsers",
-		Treatment: dataset.View{P: p, Idx: byArch[traffic.Streamer]}.Users(),
-		Control:   dataset.View{P: p, Idx: byArch[traffic.Browser]}.Users(),
+		Treatment: byArch[traffic.Streamer],
+		Control:   byArch[traffic.Browser],
 		Matcher: core.Matcher{Confounders: []core.Confounder{
 			core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 			core.ConfounderAccessPrice(),
@@ -263,13 +248,13 @@ func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	// Gamer latency sensitivity: high-RTT gamers should sit below the
 	// gamer median demand far more than half the time.
 	gamers := byArch[traffic.Gamer]
-	if len(gamers) >= MinGroup {
-		med, err := stats.Median(dataset.View{P: p, Idx: gamers}.Gather(p.UsageMeanNoBT))
+	if gamers.Len() >= MinGroup {
+		med, err := stats.Median(gamers.Gather(p.UsageMeanNoBT))
 		if err != nil {
 			return nil, err
 		}
 		below, total := 0, 0
-		for _, i := range gamers {
+		for _, i := range gamers.Idx {
 			if p.RTT[i] > 0.25 {
 				total++
 				if p.UsageMeanNoBT[i] < med {

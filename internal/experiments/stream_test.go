@@ -28,7 +28,7 @@ func TestOverviewSketchVsExact(t *testing.T) {
 	d := evalData(t)
 	m := streamManifest(t)
 
-	exact, err := OverviewExact(d.Users)
+	exact, err := OverviewExact(d.Panel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestOverviewEmptyPanel(t *testing.T) {
 	if _, err := OverviewFromSource(dataset.UsersOf(gw)); err == nil {
 		t.Error("gateway-only source produced an overview")
 	}
-	if _, err := OverviewExact(nil); err == nil {
-		t.Error("OverviewExact(nil) produced an overview")
+	if _, err := OverviewExact(dataset.BuildPanel(gw)); err == nil {
+		t.Error("OverviewExact of a gateway-only panel produced an overview")
 	}
 }

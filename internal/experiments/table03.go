@@ -57,14 +57,9 @@ func (t *Table03) Render() string {
 func RunTable03(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	v := dasuView(d, 0)
 	p := v.P
-	groups := map[market.AccessPriceGroup]dataset.View{}
-	for _, i := range v.Idx {
-		g := market.GroupOfAccessPrice(unit.USD(p.AccessPrice[i]))
-		gv := groups[g]
-		gv.P = p
-		gv.Idx = append(gv.Idx, i)
-		groups[g] = gv
-	}
+	groups := groupBy(v, func(i int32) market.AccessPriceGroup {
+		return market.GroupOfAccessPrice(unit.USD(p.AccessPrice[i]))
+	})
 	// Matching on capacity and connection quality isolates the price arrow.
 	m := core.Matcher{Confounders: []core.Confounder{
 		core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
@@ -78,8 +73,8 @@ func RunTable03(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	} {
 		exp := core.Experiment{
 			Name:      fmt.Sprintf("%v vs %v", cmp.control, cmp.treatment),
-			Treatment: groups[cmp.treatment].Users(),
-			Control:   groups[cmp.control].Users(),
+			Treatment: groups[cmp.treatment],
+			Control:   groups[cmp.control],
 			Matcher:   m,
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,

@@ -70,15 +70,9 @@ func (t *Table06) Render() string {
 func RunTable06(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	v := dasuView(d, 0)
 	p := v.P
-	groupIdx := map[market.UpgradeCostGroup][]int32{}
-	for _, i := range v.Idx {
-		g := market.GroupOfUpgradeCost(unit.PerMbps(p.UpgradeCost[i]))
-		groupIdx[g] = append(groupIdx[g], i)
-	}
-	groups := map[market.UpgradeCostGroup][]*dataset.User{}
-	for g, idx := range groupIdx {
-		groups[g] = dataset.View{P: p, Idx: idx}.Users()
-	}
+	groups := groupBy(v, func(i int32) market.UpgradeCostGroup {
+		return market.GroupOfUpgradeCost(unit.PerMbps(p.UpgradeCost[i]))
+	})
 	// Matching on capacity, quality and access price isolates the
 	// upgrade-cost arrow from the access-price one.
 	m := core.Matcher{Confounders: []core.Confounder{

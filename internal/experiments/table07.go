@@ -74,16 +74,12 @@ func RunTable07(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	treatments := []latencyBand{
 		{0, 0.064}, {0.064, 0.128}, {0.128, 0.256}, {0.256, 0.512},
 	}
-	inBand := func(b latencyBand) []*dataset.User {
-		var idx []int32
-		for _, i := range v.Idx {
-			if b.contains(v.P.RTT[i]) {
-				idx = append(idx, i)
-			}
-		}
-		return dataset.View{P: v.P, Idx: idx}.Users()
+	inBand := func(b latencyBand) dataset.View {
+		return v.Where(func(p *dataset.Panel) func(int) bool {
+			return func(i int) bool { return b.contains(p.RTT[i]) }
+		})
 	}
-	controlUsers := inBand(control)
+	controls := inBand(control)
 	// Matching on capacity, loss and both market price metrics isolates
 	// latency from the market-development confounders it travels with.
 	m := core.Matcher{Confounders: []core.Confounder{
@@ -96,7 +92,7 @@ func RunTable07(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		exp := core.Experiment{
 			Name:      fmt.Sprintf("%v vs %v", control, band),
 			Treatment: inBand(band),
-			Control:   controlUsers,
+			Control:   controls,
 			Matcher:   m,
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,

@@ -188,7 +188,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "quarantine rejected upload: %v", err)
 		return
 	}
-	d.Freeze()
 	hash, err := s.store.Put(name, d, rep)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "store: %v", err)

@@ -3,7 +3,6 @@ package synth
 import (
 	"testing"
 
-	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/stats"
 )
 
@@ -24,21 +23,14 @@ func TestShapesHoldAcrossSeeds(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		medCap := func(cc string) float64 {
-			users := dataset.Select(w.Data.Users, dataset.ByCountry(cc), dataset.ByVantage(dataset.VantageDasu))
-			m, err := stats.Median(dataset.Capacities(users))
+			users := dasuIn(w, cc)
+			m, err := stats.Median(users.Gather(users.P.Capacity))
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, cc, err)
 			}
 			return m
 		}
-		meanUtil := func(cc string) float64 {
-			users := dataset.Select(w.Data.Users, dataset.ByCountry(cc), dataset.ByVantage(dataset.VantageDasu))
-			total := 0.0
-			for _, u := range users {
-				total += u.PeakUtilization()
-			}
-			return total / float64(len(users))
-		}
+		meanUtil := func(cc string) float64 { return meanPeakUtil(dasuIn(w, cc)) }
 		// Capacity ordering (Fig. 7a).
 		if !(medCap("BW") < medCap("SA") && medCap("SA") < medCap("US") && medCap("US") < medCap("JP")) {
 			t.Errorf("seed %d: capacity ordering broke: BW=%.2f SA=%.2f US=%.2f JP=%.2f",

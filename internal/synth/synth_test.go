@@ -6,6 +6,7 @@ import (
 
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/stats"
+	"github.com/nwca/broadband/internal/unit"
 )
 
 // testWorld is a medium world shared by read-only tests.
@@ -36,6 +37,29 @@ func median(t *testing.T, xs []float64) float64 {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// dasuIn selects a country's end-host users.
+func dasuIn(w *World, cc string) dataset.View {
+	return w.Data.Panel().Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu))
+}
+
+// capsMbps gathers a view's measured capacities in Mbps.
+func capsMbps(v dataset.View) []float64 {
+	caps := make([]float64, v.Len())
+	for k, i := range v.Idx {
+		caps[k] = unit.Bitrate(v.P.Capacity[i]).Mbps()
+	}
+	return caps
+}
+
+// meanPeakUtil averages peak (no-BT) utilization over a view.
+func meanPeakUtil(v dataset.View) float64 {
+	total := 0.0
+	for _, i := range v.Idx {
+		total += v.P.PeakUtilization(int(i))
+	}
+	return total / float64(v.Len())
 }
 
 func TestBuildValidates(t *testing.T) {
@@ -115,11 +139,7 @@ func TestGlobalCapacityDistributionMatchesPaper(t *testing.T) {
 	// Fig. 1a: median ≈7.4 Mbps, IQR from ≈3.1 to ≈17.4 Mbps. We require
 	// the same regime, not the digits.
 	w := testWorld(t)
-	users := dataset.Select(w.Data.Users, dataset.ByVantage(dataset.VantageDasu))
-	caps := make([]float64, len(users))
-	for i, u := range users {
-		caps[i] = u.Capacity.Mbps()
-	}
+	caps := capsMbps(w.Data.Panel().Where(dataset.ColVantage(dataset.VantageDasu)))
 	med := median(t, caps)
 	if med < 3.5 || med > 14 {
 		t.Errorf("global median capacity = %.2f Mbps, want the paper's ≈7.4 regime", med)
@@ -136,15 +156,11 @@ func TestCaseStudyMarketShapes(t *testing.T) {
 	// within the paper's ranges.
 	w := testWorld(t)
 	medCap := func(cc string) float64 {
-		users := dataset.Select(w.Data.Users, dataset.ByCountry(cc), dataset.ByVantage(dataset.VantageDasu))
-		if len(users) < 5 {
-			t.Fatalf("%s has only %d users", cc, len(users))
+		users := dasuIn(w, cc)
+		if users.Len() < 5 {
+			t.Fatalf("%s has only %d users", cc, users.Len())
 		}
-		caps := make([]float64, len(users))
-		for i, u := range users {
-			caps[i] = u.Capacity.Mbps()
-		}
-		return median(t, caps)
+		return median(t, capsMbps(users))
 	}
 	bw, sa, us, jp := medCap("BW"), medCap("SA"), medCap("US"), medCap("JP")
 	if !(bw < sa && sa < us && us < jp) {
@@ -168,14 +184,7 @@ func TestUtilizationReversesCapacityOrder(t *testing.T) {
 	// Fig. 7b: peak utilization order is exactly the reverse of the
 	// capacity order (Botswana hottest, Japan coldest).
 	w := testWorld(t)
-	meanUtil := func(cc string) float64 {
-		users := dataset.Select(w.Data.Users, dataset.ByCountry(cc), dataset.ByVantage(dataset.VantageDasu))
-		total := 0.0
-		for _, u := range users {
-			total += u.PeakUtilization()
-		}
-		return total / float64(len(users))
-	}
+	meanUtil := func(cc string) float64 { return meanPeakUtil(dasuIn(w, cc)) }
 	bw, sa, us, jp := meanUtil("BW"), meanUtil("SA"), meanUtil("US"), meanUtil("JP")
 	if !(bw > sa && sa > us && us > jp) {
 		t.Errorf("utilization order violated: BW=%.2f SA=%.2f US=%.2f JP=%.2f", bw, sa, us, jp)
@@ -216,7 +225,7 @@ func TestLongitudinalCohorts(t *testing.T) {
 	w := testWorld(t)
 	var sizes []int
 	for _, y := range []int{2011, 2012, 2013} {
-		n := len(dataset.Select(w.Data.Users, dataset.ByYear(y), dataset.ByVantage(dataset.VantageDasu)))
+		n := w.Data.Panel().Where(dataset.ColYear(y), dataset.ColVantage(dataset.VantageDasu)).Len()
 		if n == 0 {
 			t.Fatalf("no users in %d", y)
 		}
@@ -229,19 +238,20 @@ func TestLongitudinalCohorts(t *testing.T) {
 
 func TestGatewayPanel(t *testing.T) {
 	w := testWorld(t)
-	fcc := dataset.Select(w.Data.Users, dataset.ByVantage(dataset.VantageGateway))
-	if len(fcc) < 200 {
-		t.Fatalf("gateway panel has %d users, want ≈250", len(fcc))
+	p := w.Data.Panel()
+	fcc := p.Where(dataset.ColVantage(dataset.VantageGateway))
+	if fcc.Len() < 200 {
+		t.Fatalf("gateway panel has %d users, want ≈250", fcc.Len())
 	}
-	for _, u := range fcc {
-		if u.Country != "US" {
-			t.Fatalf("gateway user outside the US: %s", u.Country)
+	for _, i := range fcc.Idx {
+		if cc := p.Countries.Value(p.Country[i]); cc != "US" {
+			t.Fatalf("gateway user outside the US: %s", cc)
 		}
-		if u.UsesBT {
+		if p.UsesBT[i] {
 			t.Fatal("gateway users must not be BT-flagged")
 		}
-		if u.Year != 2013 {
-			t.Fatalf("gateway user in year %d", u.Year)
+		if p.Year[i] != 2013 {
+			t.Fatalf("gateway user in year %d", p.Year[i])
 		}
 	}
 }
@@ -250,22 +260,11 @@ func TestIndiaQualityProfile(t *testing.T) {
 	// Sec. 7 / Figs. 11–12: India's latency and loss distributions sit far
 	// above the rest of the population.
 	w := testWorld(t)
-	india := dataset.Select(w.Data.Users, dataset.ByCountry("IN"))
-	rest := dataset.Select(w.Data.Users, dataset.NotCountry("IN"), dataset.ByVantage(dataset.VantageDasu))
-	medRTT := func(us []*dataset.User) float64 {
-		xs := make([]float64, len(us))
-		for i, u := range us {
-			xs[i] = u.RTT
-		}
-		return median(t, xs)
-	}
-	medLoss := func(us []*dataset.User) float64 {
-		xs := make([]float64, len(us))
-		for i, u := range us {
-			xs[i] = float64(u.Loss)
-		}
-		return median(t, xs)
-	}
+	p := w.Data.Panel()
+	india := p.Where(dataset.ColCountry("IN"))
+	rest := p.Where(dataset.ColNotCountry("IN"), dataset.ColVantage(dataset.VantageDasu))
+	medRTT := func(v dataset.View) float64 { return median(t, v.Gather(p.RTT)) }
+	medLoss := func(v dataset.View) float64 { return median(t, v.Gather(p.Loss)) }
 	if rIN, rRest := medRTT(india), medRTT(rest); rIN < 2*rRest || rIN < 0.1 {
 		t.Errorf("India median RTT %.0f ms should dwarf the rest's %.0f ms", rIN*1000, rRest*1000)
 	}
@@ -274,18 +273,18 @@ func TestIndiaQualityProfile(t *testing.T) {
 	}
 	// Nearly every Indian user above 100 ms (Fig. 11).
 	over := 0
-	for _, u := range india {
-		if u.RTT > 0.1 {
+	for _, i := range india.Idx {
+		if p.RTT[i] > 0.1 {
 			over++
 		}
 	}
-	if frac := float64(over) / float64(len(india)); frac < 0.85 {
+	if frac := float64(over) / float64(india.Len()); frac < 0.85 {
 		t.Errorf("only %.0f%% of Indian users above 100 ms, want nearly all", 100*frac)
 	}
 	// WebRTT tracks but exceeds the NDT RTT.
-	for _, u := range india[:min(10, len(india))] {
-		if u.WebRTT <= u.RTT {
-			t.Errorf("user %d WebRTT %v not above RTT %v", u.ID, u.WebRTT, u.RTT)
+	for _, i := range india.Idx[:min(10, india.Len())] {
+		if p.WebRTT[i] <= p.RTT[i] {
+			t.Errorf("user %d WebRTT %v not above RTT %v", p.ID[i], p.WebRTT[i], p.RTT[i])
 		}
 	}
 }

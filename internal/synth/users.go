@@ -176,22 +176,19 @@ func (g *generator) populate() error {
 	if err != nil {
 		return err
 	}
-	// Merge sequentially into the columnar panel (dictionary interning is
-	// order-sensitive and single-threaded); the row-form Users the CSV
-	// contract requires are materialized from the columns, so both forms
-	// exist and agree by construction.
+	// Merge in canonical slot order; BuildCtx freezes the columnar panel
+	// once the rows are final.
 	g.world.Skipped = make(map[string]int)
-	panel := dataset.NewPanel(lay.total)
+	users := make([]dataset.User, 0, lay.total)
 	for i := range results {
 		if results[i].user == nil {
 			g.world.Skipped[lay.find(i).prof.Country.Code]++
 			continue
 		}
-		panel.Append(results[i].user)
+		users = append(users, *results[i].user)
 		g.world.Truth[results[i].user.ID] = results[i].truth
 	}
-	g.world.Data.Users = panel.Users()
-	g.world.Data.AttachPanel(panel)
+	g.world.Data.Users = users
 	return nil
 }
 

@@ -223,6 +223,7 @@ func BuildCtx(ctx context.Context, cfg Config) (*World, error) {
 	if err := gen.world.Data.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: generated dataset invalid: %w", err)
 	}
+	gen.world.Data.Freeze()
 	return gen.world, nil
 }
 
