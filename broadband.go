@@ -228,17 +228,17 @@ func SaveDatasetCtx(ctx context.Context, d *Dataset, dir string, opts SaveOption
 // constant per-row memory, for pipelines whose worlds do not fit in RAM.
 type (
 	// UserReader iterates a users CSV; Read returns io.EOF at the end.
-	UserReader = dataset.UserReader
+	UserReader = dataset.Reader[dataset.User]
 	// UserWriter streams user rows to CSV.
-	UserWriter = dataset.UserWriter
+	UserWriter = dataset.Writer[dataset.User]
 	// SwitchReader iterates a switches CSV.
-	SwitchReader = dataset.SwitchReader
+	SwitchReader = dataset.Reader[dataset.Switch]
 	// SwitchWriter streams switch rows to CSV.
-	SwitchWriter = dataset.SwitchWriter
+	SwitchWriter = dataset.Writer[dataset.Switch]
 	// PlanReader iterates a plan-survey CSV.
-	PlanReader = dataset.PlanReader
+	PlanReader = dataset.Reader[market.Plan]
 	// PlanWriter streams plan rows to CSV.
-	PlanWriter = dataset.PlanWriter
+	PlanWriter = dataset.Writer[market.Plan]
 )
 
 // NewUserReader validates the users header and returns a streaming reader.

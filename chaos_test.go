@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -194,14 +195,30 @@ func assertNoPartialTables(t *testing.T, dir string, d *broadband.Dataset) {
 func countRows(base string, f *os.File) (int, error) {
 	switch base {
 	case "users.csv":
-		rows, err := dataset.ReadUsers(f)
-		return len(rows), err
+		return countRecords(broadband.NewUserReader(f))
 	case "switches.csv":
-		rows, err := dataset.ReadSwitches(f)
-		return len(rows), err
+		return countRecords(broadband.NewSwitchReader(f))
 	default:
-		rows, err := dataset.ReadPlans(f)
-		return len(rows), err
+		return countRecords(broadband.NewPlanReader(f))
+	}
+}
+
+// countRecords drains a streaming table reader, counting its rows.
+func countRecords[T any](r *dataset.Reader[T], err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	var v T
+	n := 0
+	for {
+		switch err := r.Read(&v); err {
+		case nil:
+			n++
+		case io.EOF:
+			return n, nil
+		default:
+			return 0, err
+		}
 	}
 }
 

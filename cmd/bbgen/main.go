@@ -20,18 +20,14 @@ import (
 )
 
 func main() {
+	world := cli.RegisterWorld(broadband.WorldConfig{
+		Seed: 1, Users: 8000, FCCUsers: 2000, Days: 3, SwitchTarget: 2000, MinPerCountry: 30,
+	})
 	var (
-		out      = flag.String("out", "data", "output directory for the CSV files")
-		seed     = flag.Uint64("seed", 1, "world seed (all data is deterministic in it)")
-		users    = flag.Int("users", 8000, "end-host users in the primary year")
-		fcc      = flag.Int("fcc", 2000, "US gateway-panel users")
-		days     = flag.Int("days", 3, "observation days simulated per user")
-		switches = flag.Int("switches", 2000, "service-upgrade records")
-		minPer   = flag.Int("min-per-country", 30, "minimum primary-year users per country")
-		ndt      = flag.Bool("ndt", false, "measure every line with the packet-level simulator (slow)")
-		workers  = flag.Int("workers", 0, "concurrent generation workers (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
-		gz       = flag.Bool("gzip", false, "write gzip-compressed CSVs (users.csv.gz etc.; bbrepro -data reads either)")
-		shards   = flag.Int("shards", 0, "write the user panel out-of-core as N shard files (users-00000-of-0000N.csv …); 0 builds in memory. Resident memory stays bounded regardless of -users")
+		out    = flag.String("out", "data", "output directory for the CSV files")
+		ndt    = flag.Bool("ndt", false, "measure every line with the packet-level simulator (slow)")
+		gz     = flag.Bool("gzip", false, "write gzip-compressed CSVs (users.csv.gz etc.; bbrepro -data reads either)")
+		shards = flag.Int("shards", 0, "write the user panel out-of-core as N shard files (users-00000-of-0000N.csv …); 0 builds in memory. Resident memory stays bounded regardless of -users")
 	)
 	flag.Parse()
 
@@ -40,22 +36,14 @@ func main() {
 	ctx, stop := cli.Context()
 	defer stop()
 
-	cfg := broadband.WorldConfig{
-		Seed:          *seed,
-		Users:         *users,
-		FCCUsers:      *fcc,
-		Days:          *days,
-		SwitchTarget:  *switches,
-		MinPerCountry: *minPer,
-		Workers:       *workers,
-	}
+	cfg := &world.Config
 	if *ndt {
 		cfg.Measurement = broadband.MeasureNDT
 	}
 	start := time.Now()
 	if *shards > 0 {
-		fmt.Fprintf(os.Stderr, "bbgen: generating world out-of-core (seed=%d, users=%d, shards=%d)...\n", *seed, *users, *shards)
-		rep, err := broadband.BuildWorldSharded(ctx, cfg, broadband.ShardSpec{Dir: *out, Shards: *shards, Gzip: *gz})
+		fmt.Fprintf(os.Stderr, "bbgen: generating world out-of-core (seed=%d, users=%d, shards=%d)...\n", cfg.Seed, cfg.Users, *shards)
+		rep, err := broadband.BuildWorldSharded(ctx, *cfg, broadband.ShardSpec{Dir: *out, Shards: *shards, Gzip: *gz})
 		if err != nil {
 			cli.Exit("bbgen", err, 1)
 		}
@@ -67,18 +55,14 @@ func main() {
 			time.Since(start).Round(time.Millisecond), cli.PeakRSS())
 		return
 	}
-	fmt.Fprintf(os.Stderr, "bbgen: generating world (seed=%d, users=%d)...\n", *seed, *users)
-	world, err := broadband.BuildWorldCtx(ctx, cfg)
+	data, err := world.Dataset(ctx, "bbgen")
 	if err != nil {
 		cli.Exit("bbgen", err, 1)
 	}
-	if n := world.SkippedHouseholds(); n > 0 {
-		fmt.Fprintf(os.Stderr, "bbgen: %d households skipped (no affordable plan after every redraw)\n", n)
-	}
-	if err := broadband.SaveDatasetCtx(ctx, &world.Data, *out, broadband.SaveOptions{Gzip: *gz, Workers: *workers}); err != nil {
+	if err := broadband.SaveDatasetCtx(ctx, data, *out, broadband.SaveOptions{Gzip: *gz, Workers: cfg.Workers}); err != nil {
 		cli.Exit("bbgen", err, 1)
 	}
 	fmt.Fprintf(os.Stderr, "bbgen: wrote %d users, %d switches, %d plans to %s in %v\n",
-		len(world.Data.Users), len(world.Data.Switches), len(world.Data.Plans), *out,
+		len(data.Users), len(data.Switches), len(data.Plans), *out,
 		time.Since(start).Round(time.Millisecond))
 }

@@ -22,18 +22,11 @@ import (
 )
 
 func main() {
+	world := cli.RegisterWorldOrData(cli.GoldenWorld)
 	var (
-		seed     = flag.Uint64("seed", 20140705, "world seed")
-		users    = flag.Int("users", 5000, "end-host users in the primary year")
-		fcc      = flag.Int("fcc", 1200, "US gateway-panel users")
-		days     = flag.Int("days", 2, "observation days per user")
-		switches = flag.Int("switches", 900, "service-upgrade records")
-		minPer   = flag.Int("min-per-country", 30, "minimum primary-year users per country")
 		only     = flag.String("only", "", "run a single artifact, e.g. \"Table 2\" or \"Fig. 6\"")
 		list     = flag.Bool("list", false, "list artifacts and exit")
-		dataDir  = flag.String("data", "", "analyze a dataset directory written by bbgen instead of generating a world")
 		ext      = flag.Bool("ext", false, "also run the extension analyses (beyond the paper's artifacts)")
-		workers  = flag.Int("workers", 0, "concurrent workers for generation and experiments (0 = GOMAXPROCS, 1 = sequential)")
 		verify   = flag.Bool("verify", false, "after printing, check artifacts against testdata/golden and the assertion manifest; exit nonzero on drift")
 		golDir   = flag.String("golden", "testdata/golden", "golden directory for -verify")
 		manifest = flag.String("manifest", "testdata/assertions.json", "assertion manifest for -verify (empty to skip assertions)")
@@ -55,39 +48,16 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	var data *broadband.Dataset
-	if *dataDir != "" {
-		fmt.Fprintf(os.Stderr, "bbrepro: loading dataset from %s...\n", *dataDir)
-		loaded, err := broadband.LoadDataset(*dataDir)
-		if err != nil {
-			cli.Exit("bbrepro", err, 1)
-		}
-		data = loaded
-	} else {
-		fmt.Fprintf(os.Stderr, "bbrepro: generating world (seed=%d, users=%d)...\n", *seed, *users)
-		world, err := broadband.BuildWorldCtx(ctx, broadband.WorldConfig{
-			Seed:          *seed,
-			Users:         *users,
-			FCCUsers:      *fcc,
-			Days:          *days,
-			SwitchTarget:  *switches,
-			MinPerCountry: *minPer,
-			Workers:       *workers,
-		})
-		if err != nil {
-			cli.Exit("bbrepro", err, 1)
-		}
-		if n := world.SkippedHouseholds(); n > 0 {
-			fmt.Fprintf(os.Stderr, "bbrepro: %d households skipped (no affordable plan after every redraw)\n", n)
-		}
-		data = &world.Data
+	data, err := world.Dataset(ctx, "bbrepro")
+	if err != nil {
+		cli.Exit("bbrepro", err, 1)
 	}
 	fmt.Fprintf(os.Stderr, "bbrepro: dataset ready in %v (%d users, %d switches, %d plans)\n\n",
 		time.Since(start).Round(time.Millisecond),
 		len(data.Users), len(data.Switches), len(data.Plans))
 
 	if *only != "" {
-		rep, err := broadband.Run(*only, data, *seed)
+		rep, err := broadband.Run(*only, data, world.Config.Seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
 			os.Exit(1)
@@ -106,8 +76,8 @@ func main() {
 	// the others — only cancellation stops dispatch.
 	reports := make([]broadband.Report, len(entries))
 	errs := make([]error, len(entries))
-	ctxErr := par.ForNCtx(ctx, par.Workers(*workers), len(entries), func(i int) error {
-		reports[i], errs[i] = broadband.Run(entries[i].ID, data, *seed)
+	ctxErr := par.ForNCtx(ctx, par.Workers(world.Config.Workers), len(entries), func(i int) error {
+		reports[i], errs[i] = broadband.Run(entries[i].ID, data, world.Config.Seed)
 		return nil
 	})
 	if ctxErr != nil {

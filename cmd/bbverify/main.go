@@ -33,15 +33,8 @@ import (
 )
 
 func main() {
+	world := cli.RegisterWorldOrData(cli.GoldenWorld)
 	var (
-		seed     = flag.Uint64("seed", 20140705, "world seed")
-		users    = flag.Int("users", 5000, "end-host users in the primary year")
-		fcc      = flag.Int("fcc", 1200, "US gateway-panel users")
-		days     = flag.Int("days", 2, "observation days per user")
-		switches = flag.Int("switches", 900, "service-upgrade records")
-		minPer   = flag.Int("min-per-country", 30, "minimum primary-year users per country")
-		workers  = flag.Int("workers", 0, "concurrent workers (0 = GOMAXPROCS)")
-		dataDir  = flag.String("data", "", "verify a dataset directory written by bbgen instead of generating a world")
 		dir      = flag.String("golden", "testdata/golden", "golden artifact directory")
 		manifest = flag.String("manifest", "testdata/assertions.json", "assertion manifest (empty to skip assertions)")
 		update   = flag.Bool("update", false, "regenerate the golden files instead of verifying them")
@@ -61,34 +54,16 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	var data *broadband.Dataset
-	if *dataDir != "" {
-		loaded, err := broadband.LoadDataset(*dataDir)
-		if err != nil {
-			fail("%v", err)
-		}
-		data = loaded
-	} else {
-		world, err := broadband.BuildWorldCtx(ctx, broadband.WorldConfig{
-			Seed:          *seed,
-			Users:         *users,
-			FCCUsers:      *fcc,
-			Days:          *days,
-			SwitchTarget:  *switches,
-			MinPerCountry: *minPer,
-			Workers:       *workers,
-		})
-		if err != nil {
-			cli.Exit("bbverify", err, 2)
-		}
-		data = &world.Data
+	data, err := world.Dataset(ctx, "bbverify")
+	if err != nil {
+		cli.Exit("bbverify", err, 2)
 	}
 
 	entries := broadband.Experiments()
 	arts := make([]golden.Artifact, len(entries))
 	runErrs := make([]error, len(entries))
-	ctxErr := par.ForNCtx(ctx, par.Workers(*workers), len(entries), func(i int) error {
-		rep, err := broadband.Run(entries[i].ID, data, *seed)
+	ctxErr := par.ForNCtx(ctx, par.Workers(world.Config.Workers), len(entries), func(i int) error {
+		rep, err := broadband.Run(entries[i].ID, data, world.Config.Seed)
 		arts[i] = golden.Artifact{ID: entries[i].ID, Obj: rep}
 		runErrs[i] = err
 		return nil
@@ -102,7 +77,7 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "bbverify: %d artifacts regenerated in %v (seed=%d, users=%d)\n",
-		len(arts), time.Since(start).Round(time.Millisecond), *seed, len(data.Users))
+		len(arts), time.Since(start).Round(time.Millisecond), world.Config.Seed, len(data.Users))
 
 	var m *golden.Manifest
 	if *manifest != "" {

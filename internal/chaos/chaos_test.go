@@ -301,7 +301,7 @@ func TestChaosFlakyReaderSurfacesTypedIOFault(t *testing.T) {
 	in := New(Config{Seed: 11})
 	// Rate 1: the very first read fails, before the header parses.
 	r := in.FlakyReader("users.csv", bytes.NewReader(buf.Bytes()), 1)
-	_, err := dataset.ReadUsers(r)
+	_, err := dataset.NewUserReader(r)
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("want injected *FaultError in the chain, got %T: %v", err, err)

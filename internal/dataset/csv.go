@@ -12,8 +12,6 @@ import (
 
 	"github.com/nwca/broadband/internal/fsx"
 	"github.com/nwca/broadband/internal/market"
-	"github.com/nwca/broadband/internal/traffic"
-	"github.com/nwca/broadband/internal/unit"
 )
 
 // CSV serialization. Rates are stored in Mbps, latencies in milliseconds,
@@ -21,175 +19,22 @@ import (
 // files (or loading them into an external analysis tool) expects. Floats
 // are written in shortest lossless form (strconv 'g', precision -1), so a
 // save → load cycle reproduces every float64 bit-for-bit and a second save
-// emits byte-identical files.
-//
-// The slice-based functions below are thin wrappers over the streaming
-// readers/writers in stream.go; worlds too large to materialize go through
-// those iterators directly.
-
-var userHeader = []string{
-	"id", "country", "vantage", "year", "isp", "network",
-	"plan_down_mbps", "plan_up_mbps", "plan_price_usd", "plan_tech", "plan_cap_gb",
-	"capacity_mbps", "up_capacity_mbps", "rtt_ms", "web_rtt_ms", "loss_pct",
-	"mean_mbps", "peak_mbps", "mean_nobt_mbps", "peak_nobt_mbps", "uses_bt", "archetype",
-	"access_price_usd", "upgrade_cost_per_mbps",
-}
+// emits byte-identical files. Each table's columns are declared once, by
+// its descriptor in table.go.
 
 // WriteUsers streams users as CSV.
 func WriteUsers(w io.Writer, users []User) error {
-	return WriteUsersParallel(w, users, 1)
-}
-
-// ReadUsers parses a users CSV produced by WriteUsers.
-func ReadUsers(r io.Reader) ([]User, error) {
-	ur, err := NewUserReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var users []User
-	var u User
-	for {
-		switch err := ur.Read(&u); err {
-		case nil:
-			users = append(users, u)
-		case io.EOF:
-			return users, nil
-		default:
-			return nil, err
-		}
-	}
-}
-
-// decodeUser maps one CSV record onto a User. The field order is the
-// mirror of encodeUser; conversion errors accumulate on p.
-func decodeUser(p *parser, u *User) {
-	rec := p.rec
-	*u = User{
-		ID:          p.i64(0),
-		Country:     rec[1],
-		Vantage:     Vantage(p.int(2)),
-		Year:        p.int(3),
-		ISP:         rec[4],
-		NetworkKey:  rec[5],
-		PlanDown:    unit.MbpsOf(p.f64(6)),
-		PlanUp:      unit.MbpsOf(p.f64(7)),
-		PlanPrice:   unit.USD(p.f64(8)),
-		PlanTech:    market.Technology(p.int(9)),
-		PlanCap:     unit.ByteSize(p.f64(10) * float64(unit.GB)),
-		Capacity:    unit.MbpsOf(p.f64(11)),
-		UpCapacity:  unit.MbpsOf(p.f64(12)),
-		RTT:         p.f64(13) / 1000,
-		WebRTT:      p.f64(14) / 1000,
-		Loss:        unit.LossFromPercent(p.f64(15)),
-		UsesBT:      p.boolAt(20),
-		Archetype:   traffic.Archetype(p.int(21)),
-		AccessPrice: unit.USD(p.f64(22)),
-		UpgradeCost: unit.PerMbps(p.f64(23)),
-	}
-	u.Usage = UsageSummary{
-		Mean:     unit.MbpsOf(p.f64(16)),
-		Peak:     unit.MbpsOf(p.f64(17)),
-		MeanNoBT: unit.MbpsOf(p.f64(18)),
-		PeakNoBT: unit.MbpsOf(p.f64(19)),
-	}
-}
-
-var switchHeader = []string{
-	"user_id", "country", "from_net", "to_net", "from_down_mbps", "to_down_mbps",
-	"before_mean_mbps", "before_peak_mbps", "before_mean_nobt_mbps", "before_peak_nobt_mbps",
-	"after_mean_mbps", "after_peak_mbps", "after_mean_nobt_mbps", "after_peak_nobt_mbps",
+	return writeSharded(w, usersTable, users, 1)
 }
 
 // WriteSwitches streams service-change records as CSV.
 func WriteSwitches(w io.Writer, switches []Switch) error {
-	return WriteSwitchesParallel(w, switches, 1)
-}
-
-// ReadSwitches parses a switches CSV produced by WriteSwitches.
-func ReadSwitches(r io.Reader) ([]Switch, error) {
-	sr, err := NewSwitchReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []Switch
-	var s Switch
-	for {
-		switch err := sr.Read(&s); err {
-		case nil:
-			out = append(out, s)
-		case io.EOF:
-			return out, nil
-		default:
-			return nil, err
-		}
-	}
-}
-
-// decodeSwitch maps one CSV record onto a Switch (mirror of encodeSwitch).
-func decodeSwitch(p *parser, s *Switch) {
-	rec := p.rec
-	*s = Switch{
-		UserID:   p.i64(0),
-		Country:  rec[1],
-		FromNet:  rec[2],
-		ToNet:    rec[3],
-		FromDown: unit.MbpsOf(p.f64(4)),
-		ToDown:   unit.MbpsOf(p.f64(5)),
-		Before: UsageSummary{
-			Mean: unit.MbpsOf(p.f64(6)), Peak: unit.MbpsOf(p.f64(7)),
-			MeanNoBT: unit.MbpsOf(p.f64(8)), PeakNoBT: unit.MbpsOf(p.f64(9)),
-		},
-		After: UsageSummary{
-			Mean: unit.MbpsOf(p.f64(10)), Peak: unit.MbpsOf(p.f64(11)),
-			MeanNoBT: unit.MbpsOf(p.f64(12)), PeakNoBT: unit.MbpsOf(p.f64(13)),
-		},
-	}
-}
-
-var planHeader = []string{
-	"country", "isp", "down_mbps", "up_mbps", "price_local", "price_usd",
-	"cap_gb", "tech", "dedicated",
+	return writeSharded(w, switchesTable, switches, 1)
 }
 
 // WritePlans streams the plan survey as CSV.
 func WritePlans(w io.Writer, plans []market.Plan) error {
-	return WritePlansParallel(w, plans, 1)
-}
-
-// ReadPlans parses a plan survey CSV produced by WritePlans.
-func ReadPlans(r io.Reader) ([]market.Plan, error) {
-	pr, err := NewPlanReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []market.Plan
-	var pl market.Plan
-	for {
-		switch err := pr.Read(&pl); err {
-		case nil:
-			out = append(out, pl)
-		case io.EOF:
-			return out, nil
-		default:
-			return nil, err
-		}
-	}
-}
-
-// decodePlan maps one CSV record onto a market.Plan (mirror of encodePlan).
-func decodePlan(p *parser, pl *market.Plan) {
-	rec := p.rec
-	*pl = market.Plan{
-		Country:    rec[0],
-		ISP:        rec[1],
-		Down:       unit.MbpsOf(p.f64(2)),
-		Up:         unit.MbpsOf(p.f64(3)),
-		PriceLocal: p.f64(4),
-		PriceUSD:   unit.USD(p.f64(5)),
-		Cap:        unit.ByteSize(p.f64(6) * float64(unit.GB)),
-		Tech:       market.Technology(p.int(7)),
-		Dedicated:  p.boolAt(8),
-	}
+	return writeSharded(w, plansTable, plans, 1)
 }
 
 // SaveOptions tunes how SaveDirWith writes a dataset.
@@ -222,18 +67,13 @@ func (d *Dataset) SaveDirWith(dir string, opts SaveOptions) error {
 // removed, and tables already committed remain complete — an interrupted
 // save never leaves a partial artifact.
 func (d *Dataset) SaveDirCtx(ctx context.Context, dir string, opts SaveOptions) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := saveTable(ctx, dir, opts, usersTable, d.Users); err != nil {
 		return err
 	}
-	if err := writeNamedTableCtx(ctx, dir, "users.csv", opts, func(w io.Writer) error {
-		return WriteUsersParallel(w, d.Users, opts.Workers)
-	}); err != nil {
+	if err := saveTable(ctx, dir, opts, switchesTable, d.Switches); err != nil {
 		return err
 	}
-	if err := WriteSwitchesFileCtx(ctx, dir, opts, d.Switches); err != nil {
-		return err
-	}
-	return WritePlansFileCtx(ctx, dir, opts, d.Plans)
+	return saveTable(ctx, dir, opts, plansTable, d.Plans)
 }
 
 // WriteSwitchesFileCtx writes switches.csv (or .csv.gz) under dir with the
@@ -241,34 +81,31 @@ func (d *Dataset) SaveDirCtx(ctx context.Context, dir string, opts SaveOptions) 
 // The out-of-core builder uses it to place the switch panel next to a
 // sharded user table without materializing a Dataset.
 func WriteSwitchesFileCtx(ctx context.Context, dir string, opts SaveOptions, switches []Switch) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return writeNamedTableCtx(ctx, dir, "switches.csv", opts, func(w io.Writer) error {
-		return WriteSwitchesParallel(w, switches, opts.Workers)
-	})
+	return saveTable(ctx, dir, opts, switchesTable, switches)
 }
 
 // WritePlansFileCtx is WriteSwitchesFileCtx for the plan survey.
 func WritePlansFileCtx(ctx context.Context, dir string, opts SaveOptions, plans []market.Plan) error {
+	return saveTable(ctx, dir, opts, plansTable, plans)
+}
+
+// saveTable writes table t under dir (appending .gz per opts) atomically,
+// encoding across opts.Workers shards and wrapping failures with the file
+// name.
+func saveTable[T any](ctx context.Context, dir string, opts SaveOptions, t *table[T], items []T) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeNamedTableCtx(ctx, dir, "plans.csv", opts, func(w io.Writer) error {
-		return WritePlansParallel(w, plans, opts.Workers)
-	})
-}
-
-// writeNamedTableCtx writes dir/name (appending .gz per opts) atomically
-// through fn, wrapping failures with the table name.
-func writeNamedTableCtx(ctx context.Context, dir, name string, opts SaveOptions, fn func(io.Writer) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	name := t.base
 	if opts.Gzip {
 		name += ".gz"
 	}
-	if err := writeTableCtx(ctx, filepath.Join(dir, name), opts.Gzip, fn); err != nil {
+	if err := writeTableCtx(ctx, filepath.Join(dir, name), opts.Gzip, func(w io.Writer) error {
+		return writeSharded(w, t, items, opts.Workers)
+	}); err != nil {
 		return fmt.Errorf("dataset: writing %s: %w", name, err)
 	}
 	return nil
@@ -288,16 +125,12 @@ func (c *ctxWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-// writeTable stages path in a temp sibling and runs fn over a buffered
+// writeTableCtx stages path in a temp sibling and runs fn over a buffered
 // (optionally gzip-compressed) writer, renaming into place only after a
 // complete, flushed write. Any failure abandons the staging file, so the
 // final path either keeps its previous content or does not exist — a later
-// LoadDir can never trip over a partial table.
-func writeTable(path string, gz bool, fn func(io.Writer) error) error {
-	return writeTableCtx(context.Background(), path, gz, fn)
-}
-
-// writeTableCtx is writeTable with per-write cancellation checks.
+// LoadDir can never trip over a partial table. Every write checks ctx, so a
+// cancelled write stops at the next row.
 func writeTableCtx(ctx context.Context, path string, gz bool, fn func(io.Writer) error) error {
 	fp, err := fsx.CreateAtomic(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -54,7 +55,7 @@ func TestReadersRejectTruncation(t *testing.T) {
 	full := b.String()
 	// Chop inside the final record: the CSV reader sees a short row.
 	cut := full[:len(full)-10]
-	if _, err := ReadUsers(strings.NewReader(cut)); err == nil {
+	if _, err := readTable(usersTable, strings.NewReader(cut)); err == nil {
 		t.Error("truncated users CSV should fail")
 	}
 }
@@ -124,12 +125,12 @@ func TestReadersRejectTrailingGarbage(t *testing.T) {
 
 	lines := strings.SplitAfter(full, "\n")
 	extraField := strings.TrimSuffix(lines[1], "\n") + ",garbage\n"
-	if _, err := ReadUsers(strings.NewReader(lines[0] + extraField)); err == nil {
+	if _, err := readTable(usersTable, strings.NewReader(lines[0]+extraField)); err == nil {
 		t.Error("row with an extra trailing field should fail")
 	}
 
 	garbled := strings.Replace(full, "true", "truex", 1)
-	if _, err := ReadUsers(strings.NewReader(garbled)); err == nil {
+	if _, err := readTable(usersTable, strings.NewReader(garbled)); err == nil {
 		t.Error("field with trailing garbage should fail")
 	}
 }
@@ -146,7 +147,7 @@ func TestReadersRejectReorderedHeader(t *testing.T) {
 	if swapped == full {
 		t.Fatal("header swap did not apply")
 	}
-	if _, err := ReadUsers(strings.NewReader(swapped)); err == nil {
+	if _, err := readTable(usersTable, strings.NewReader(swapped)); err == nil {
 		t.Error("reordered header should fail")
 	}
 	if _, err := NewUserReader(strings.NewReader(swapped)); err == nil {
@@ -159,7 +160,7 @@ func TestReadersRejectReorderedHeader(t *testing.T) {
 func TestWriteTableRemovesPartialFile(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "x.csv")
-		err := writeTable(path, gz, func(w io.Writer) error {
+		err := writeTableCtx(context.Background(), path, gz, func(w io.Writer) error {
 			if _, err := w.Write([]byte("id,country\npartial")); err != nil {
 				return err
 			}
@@ -176,7 +177,7 @@ func TestWriteTableRemovesPartialFile(t *testing.T) {
 
 func TestWriteTableChecksCloseOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ok.csv")
-	if err := writeTable(path, false, func(w io.Writer) error {
+	if err := writeTableCtx(context.Background(), path, false, func(w io.Writer) error {
 		_, err := w.Write([]byte("hello\n"))
 		return err
 	}); err != nil {

@@ -99,7 +99,7 @@ func TestUsersCSVRoundTrip(t *testing.T) {
 	if err := WriteUsers(&buf, d.Users); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadUsers(&buf)
+	got, err := readTable(usersTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSwitchesCSVRoundTrip(t *testing.T) {
 	if err := WriteSwitches(&buf, d.Switches); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSwitches(&buf)
+	got, err := readTable(switchesTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPlansCSVRoundTrip(t *testing.T) {
 	if err := WritePlans(&buf, d.Plans); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPlans(&buf)
+	got, err := readTable(plansTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestPlansCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsBadInput(t *testing.T) {
-	if _, err := ReadUsers(strings.NewReader("")); err == nil {
+	if _, err := readTable(usersTable, strings.NewReader("")); err == nil {
 		t.Error("empty users input should error")
 	}
-	if _, err := ReadUsers(strings.NewReader("not,a,users,header\n")); err == nil {
+	if _, err := readTable(usersTable, strings.NewReader("not,a,users,header\n")); err == nil {
 		t.Error("wrong header should error")
 	}
 	var buf bytes.Buffer
@@ -172,13 +172,13 @@ func TestReadRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupted := strings.Replace(buf.String(), "2012", "twenty12", 1)
-	if _, err := ReadUsers(strings.NewReader(corrupted)); err == nil {
+	if _, err := readTable(usersTable, strings.NewReader(corrupted)); err == nil {
 		t.Error("non-numeric field should error")
 	}
-	if _, err := ReadSwitches(strings.NewReader("")); err == nil {
+	if _, err := readTable(switchesTable, strings.NewReader("")); err == nil {
 		t.Error("empty switches input should error")
 	}
-	if _, err := ReadPlans(strings.NewReader("x\n")); err == nil {
+	if _, err := readTable(plansTable, strings.NewReader("x\n")); err == nil {
 		t.Error("bad plans header should error")
 	}
 }
@@ -204,7 +204,7 @@ func TestSaveDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadUsers(bytes.NewReader(raw))
+	back, err := readTable(usersTable, bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

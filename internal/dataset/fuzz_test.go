@@ -28,57 +28,24 @@ func fuzzSeedCSV(f *testing.F) {
 	f.Add(lines[0] + "\x00\n")
 }
 
-// FuzzUserReader throws arbitrary bytes at the users CSV decoders. Three
-// contracts hold for any input: no panic; the streaming reader and the
-// slice API agree on accept/reject and on every decoded row; and any
-// accepted input reaches the save→load fixed point in one cycle (re-saving
-// the loaded rows is byte-identical — the lossless-serialization contract).
+// FuzzUserReader throws arbitrary bytes at the users CSV decoder. Two
+// contracts hold for any input: no panic, and any accepted input reaches
+// the save→load fixed point in one cycle (re-saving the loaded rows is
+// byte-identical — the lossless-serialization contract).
 func FuzzUserReader(f *testing.F) {
 	fuzzSeedCSV(f)
 	f.Fuzz(func(t *testing.T, data string) {
-		users, err := ReadUsers(strings.NewReader(data))
-
-		// Differential: the record-at-a-time reader must agree exactly.
-		var streamed []User
-		var serr error
-		if ur, uerr := NewUserReader(strings.NewReader(data)); uerr != nil {
-			serr = uerr
-		} else {
-			var u User
-			for {
-				rerr := ur.Read(&u)
-				if rerr == io.EOF {
-					break
-				}
-				if rerr != nil {
-					serr = rerr
-					break
-				}
-				streamed = append(streamed, u)
-			}
-		}
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("slice err %v vs stream err %v", err, serr)
-		}
+		users, err := readTable(usersTable, strings.NewReader(data))
 		if err != nil {
 			return
 		}
-		if len(users) != len(streamed) {
-			t.Fatalf("slice decoded %d rows, stream %d", len(users), len(streamed))
-		}
-		for i := range users {
-			if users[i] != streamed[i] {
-				t.Fatalf("row %d: slice %+v vs stream %+v", i, users[i], streamed[i])
-			}
-		}
-
 		// Unit-scaled fields settle after one write→read cycle; from there
 		// the table must re-serialize bit-for-bit.
 		var first bytes.Buffer
 		if werr := WriteUsers(&first, users); werr != nil {
 			t.Fatalf("rewrite of accepted input failed: %v", werr)
 		}
-		settled, rerr := ReadUsers(bytes.NewReader(first.Bytes()))
+		settled, rerr := readTable(usersTable, bytes.NewReader(first.Bytes()))
 		if rerr != nil {
 			t.Fatalf("rewritten table does not re-parse: %v", rerr)
 		}
@@ -90,4 +57,72 @@ func FuzzUserReader(f *testing.F) {
 			t.Fatal("accepted input did not reach the save→load fixed point in one cycle")
 		}
 	})
+}
+
+// FuzzRobustReader throws arbitrary bytes at the quarantine readers: the
+// first byte picks the table, the rest is the file. Three contracts hold
+// for any input: no panic; every row the reader keeps passes that table's
+// domain check; and Row never moves backwards.
+func FuzzRobustReader(f *testing.F) {
+	users, switches, plans := formatFixture()
+	for i, write := range []func(io.Writer) error{
+		func(w io.Writer) error { return WriteUsers(w, users) },
+		func(w io.Writer) error { return WriteSwitches(w, switches) },
+		func(w io.Writer) error { return WritePlans(w, plans) },
+	} {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			f.Fatal(err)
+		}
+		full := b.String()
+		lines := strings.SplitAfter(full, "\n")
+		for _, seed := range []string{
+			full,
+			full[:len(full)-10],                 // truncated mid-record
+			lines[0] + "garbage\n" + lines[1],   // wrong field count
+			strings.Replace(full, ",", ",-", 4), // negative (out-of-domain) fields
+			strings.Replace(full, "0", "x", 5),  // unparseable fields
+			lines[0] + lines[1] + lines[1],      // duplicated row
+			lines[0],                            // header only
+		} {
+			f.Add(append([]byte{byte(i)}, seed...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		switch data[0] % 3 {
+		case 0:
+			fuzzRobust(t, usersTable, data[1:])
+		case 1:
+			fuzzRobust(t, switchesTable, data[1:])
+		default:
+			fuzzRobust(t, plansTable, data[1:])
+		}
+	})
+}
+
+func fuzzRobust[T any](t *testing.T, tbl *table[T], data []byte) {
+	// No budget: read every row the transport allows.
+	rr, err := newRobustReader(tbl, bytes.NewReader(data), tbl.base, QuarantineOptions{MaxBadFrac: 1}, &QuarantineReport{})
+	if err != nil {
+		return
+	}
+	last := rr.Row()
+	var v T
+	for {
+		err := rr.Read(&v)
+		row := rr.Row()
+		if row < last {
+			t.Fatalf("Row moved backwards: %d after %d", row, last)
+		}
+		last = row
+		if err != nil {
+			return // io.EOF or a terminal transport fault
+		}
+		if derr := tbl.domain(&v); derr != nil {
+			t.Fatalf("row %d kept despite failing the domain check: %v", row, derr)
+		}
+	}
 }

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/nwca/broadband/internal/market"
 )
@@ -17,81 +16,59 @@ import (
 // profiles; plans for countries without a profile are kept but contribute
 // no market summary.
 func LoadDir(dir string) (*Dataset, error) {
-	d := &Dataset{Markets: make(map[string]market.MarketSummary)}
-
-	read := func(base string, fn func(io.Reader, string) error) error {
-		rc, path, err := openTablePath(dir, base)
-		if err != nil {
-			return err
-		}
-		defer rc.Close()
-		return fn(rc, path)
-	}
-	// Users come through UserStream, so a directory written out-of-core
-	// (users-*-of-*.csv shards, DESIGN.md §8) loads with the same call as
-	// a monolithic one.
-	if err := func() error {
-		us, err := StreamUsersDir(dir)
-		if err != nil {
-			return err
-		}
-		defer us.Close()
-		var u User
-		for {
-			switch err := us.Read(&u); err {
-			case nil:
-				d.Users = append(d.Users, u)
-			case io.EOF:
-				return nil
-			default:
-				return err
-			}
-		}
-	}(); err != nil {
+	d := &Dataset{}
+	var err error
+	if d.Users, err = loadUsers(dir); err != nil {
 		return nil, fmt.Errorf("dataset: loading users: %w", err)
 	}
-	if err := read("switches.csv", func(r io.Reader, path string) error {
-		sr, err := NewSwitchReaderFile(r, path)
-		if err != nil {
-			return err
-		}
-		var s Switch
-		for {
-			switch err := sr.Read(&s); err {
-			case nil:
-				d.Switches = append(d.Switches, s)
-			case io.EOF:
-				return nil
-			default:
-				return err
-			}
-		}
-	}); err != nil {
+	if d.Switches, err = loadTable(dir, switchesTable); err != nil {
 		return nil, fmt.Errorf("dataset: loading switches: %w", err)
 	}
-	if err := read("plans.csv", func(r io.Reader, path string) error {
-		pr, err := NewPlanReaderFile(r, path)
-		if err != nil {
-			return err
-		}
-		var pl market.Plan
-		for {
-			switch err := pr.Read(&pl); err {
-			case nil:
-				d.Plans = append(d.Plans, pl)
-			case io.EOF:
-				return nil
-			default:
-				return err
-			}
-		}
-	}); err != nil {
+	if d.Plans, err = loadTable(dir, plansTable); err != nil {
 		return nil, fmt.Errorf("dataset: loading plans: %w", err)
 	}
+	d.Markets = summarizeMarkets(d.Plans)
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("dataset: loaded data invalid: %w", err)
+	}
+	d.Freeze()
+	return d, nil
+}
 
-	// Rebuild per-market summaries from the survey rows.
+// loadUsers reads the user table through UserStream, so a directory
+// written out-of-core (users-*-of-*.csv shards, DESIGN.md §8) loads with
+// the same call as a monolithic one.
+func loadUsers(dir string) ([]User, error) {
+	us, err := StreamUsersDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer us.Close()
+	return readAll[User](us)
+}
+
+// loadTable reads table t from dir (plain or .gz) through the strict
+// reader.
+func loadTable[T any](dir string, t *table[T]) ([]T, error) {
+	path, _ := tablePath(dir, t.base)
+	rc, err := openPath(path)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	r, err := newReader(t, rc, path)
+	if err != nil {
+		return nil, err
+	}
+	return readAll[T](r)
+}
+
+// summarizeMarkets rebuilds the per-market summaries from the survey rows,
+// rejoining country metadata from the built-in profiles. Markets with no
+// ≥1 Mbps plan carry no summary.
+func summarizeMarkets(plans []market.Plan) map[string]market.MarketSummary {
 	byCountry := make(map[string]*market.Catalog)
-	for _, p := range d.Plans {
+	for _, p := range plans {
 		cat := byCountry[p.Country]
 		if cat == nil {
 			cat = &market.Catalog{}
@@ -104,16 +81,11 @@ func LoadDir(dir string) (*Dataset, error) {
 		}
 		cat.Plans = append(cat.Plans, p)
 	}
+	out := make(map[string]market.MarketSummary, len(byCountry))
 	for code, cat := range byCountry {
-		sum, err := market.Summarize(*cat)
-		if err != nil {
-			continue // markets with no ≥1 Mbps plan carry no summary
+		if sum, err := market.Summarize(*cat); err == nil {
+			out[code] = sum
 		}
-		d.Markets[code] = sum
 	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("dataset: loaded data invalid: %w", err)
-	}
-	d.Freeze()
-	return d, nil
+	return out
 }

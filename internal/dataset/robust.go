@@ -5,17 +5,18 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"path/filepath"
 	"sort"
 	"strings"
 
 	"github.com/nwca/broadband/internal/market"
 )
 
-// Quarantine-hardened ingestion. The strict loaders (LoadDir, ReadUsers …)
-// abort on the first malformed row — the right contract for data this
-// pipeline wrote itself. Real measurement panels are dirtier: host churn,
-// counter resets, duplicated and missing samples, corrupted uploads. The
-// robust loaders ingest such inputs by skipping bad rows and collecting a
+// Quarantine-hardened ingestion. The strict loader and reader (LoadDir,
+// Reader) abort on the first malformed row — the right contract for data
+// this pipeline wrote itself. Real measurement panels are dirtier: host
+// churn, counter resets, duplicated and missing samples, corrupted uploads.
+// The robust loader ingests such inputs by skipping bad rows and collecting a
 // typed per-row diagnostic report (file, 1-based row, fault class, cause),
 // gated by a configurable error budget beyond which loading fails with one
 // summarizing *BudgetError. Nothing here panics, and nothing is dropped
@@ -207,19 +208,13 @@ func (e *BudgetError) Error() string {
 		e.File, e.Bad, e.Read, e.Budget*100, countsSummary(e.Counts))
 }
 
-// Quarantine tracks one file's row budget and routes diagnostics into the
-// shared report. Create one per file with NewQuarantine and hand it to the
-// robust readers.
-type Quarantine struct {
+// quarantine tracks one file's row budget and routes diagnostics into the
+// shared report. Every robust reader owns one, so budgets stay per file.
+type quarantine struct {
 	file      string
 	opts      QuarantineOptions
 	rep       *QuarantineReport
 	read, bad int
-}
-
-// NewQuarantine returns the per-file quarantine gate writing into rep.
-func NewQuarantine(file string, opts QuarantineOptions, rep *QuarantineReport) *Quarantine {
-	return &Quarantine{file: file, opts: opts, rep: rep}
 }
 
 // budgetFloor is the minimum number of offered rows before the fractional
@@ -228,7 +223,7 @@ func NewQuarantine(file string, opts QuarantineOptions, rep *QuarantineReport) *
 const budgetFloor = 200
 
 // budgetErr builds the summarizing error for this file.
-func (q *Quarantine) budgetErr() *BudgetError {
+func (q *quarantine) budgetErr() *BudgetError {
 	counts := make(map[RowFault]int)
 	for _, d := range q.rep.Diags {
 		if d.File == q.file {
@@ -239,7 +234,7 @@ func (q *Quarantine) budgetErr() *BudgetError {
 }
 
 // note records one quarantined row and enforces the incremental budget.
-func (q *Quarantine) note(row int, class RowFault, cause error) error {
+func (q *quarantine) note(row int, class RowFault, cause error) error {
 	q.read++
 	q.bad++
 	q.rep.RowsRead++
@@ -254,7 +249,7 @@ func (q *Quarantine) note(row int, class RowFault, cause error) error {
 }
 
 // kept records one accepted row.
-func (q *Quarantine) kept() {
+func (q *quarantine) kept() {
 	q.read++
 	q.rep.RowsRead++
 	q.rep.RowsKept++
@@ -262,7 +257,7 @@ func (q *Quarantine) kept() {
 
 // demote retracts a previously kept row (post-pass faults: duplicate keys,
 // orphaned market references) and re-enforces the budget.
-func (q *Quarantine) demote(row int, class RowFault, cause error) error {
+func (q *quarantine) demote(row int, class RowFault, cause error) error {
 	q.bad++
 	q.rep.RowsKept--
 	q.rep.Diags = append(q.rep.Diags, RowDiag{File: q.file, Row: row, Class: class, Cause: cause.Error()})
@@ -274,35 +269,39 @@ func (q *Quarantine) demote(row int, class RowFault, cause error) error {
 
 // finish enforces the fractional budget at end of file and returns io.EOF
 // when the file is within budget.
-func (q *Quarantine) finish() error {
+func (q *quarantine) finish() error {
 	if frac := q.opts.maxBadFrac(); frac < 1 && q.read > 0 && float64(q.bad) > frac*float64(q.read) {
 		return q.budgetErr()
 	}
 	return io.EOF
 }
 
-// rowSource is the streaming-reader shape shared by UserReader,
-// SwitchReader and PlanReader: Read fills the next record, Row reports the
-// 1-based line of the record just returned.
-type rowSource[T any] interface {
-	Read(*T) error
-	Row() int
-}
-
-// RobustReader wraps a streaming reader with the quarantine contract: Read
-// skips rows that fail structurally, at parse time, or at domain
-// validation, recording each in the report; it returns io.EOF at end of
+// robustReader wraps a streaming reader with the quarantine contract: Read
+// skips rows that fail structurally, at parse time, or at the table's
+// domain check, recording each in the report; it returns io.EOF at end of
 // stream, a *BudgetError when the error budget is exhausted, and a terminal
 // *RowError when the transport itself fails (truncation, gzip corruption,
 // I/O). It never panics.
-type RobustReader[T any] struct {
-	src    rowSource[T]
+type robustReader[T any] struct {
+	src    *Reader[T]
 	domain func(*T) error
-	q      *Quarantine
+	q      *quarantine
+}
+
+// newRobustReader wraps a CSV stream of table t in the quarantine contract,
+// gated by a fresh per-file budget that reports into rep. The file name
+// seeds diagnostics.
+func newRobustReader[T any](t *table[T], rd io.Reader, file string, opts QuarantineOptions, rep *QuarantineReport) (*robustReader[T], error) {
+	src, err := newReader(t, rd, file)
+	if err != nil {
+		return nil, err
+	}
+	q := &quarantine{file: file, opts: opts, rep: rep}
+	return &robustReader[T]{src: src, domain: t.domain, q: q}, nil
 }
 
 // Read fills v with the next row that survives quarantine.
-func (r *RobustReader[T]) Read(v *T) error {
+func (r *robustReader[T]) Read(v *T) error {
 	for {
 		err := r.src.Read(v)
 		if err == nil {
@@ -330,36 +329,7 @@ func (r *RobustReader[T]) Read(v *T) error {
 }
 
 // Row reports the 1-based line of the record Read last returned.
-func (r *RobustReader[T]) Row() int { return r.src.Row() }
-
-// NewRobustUserReader wraps a users CSV stream in the quarantine contract.
-// The file name seeds diagnostics; q may be shared across files only via
-// separate Quarantine values writing into one report.
-func NewRobustUserReader(rd io.Reader, file string, q *Quarantine) (*RobustReader[User], error) {
-	ur, err := NewUserReaderFile(rd, file)
-	if err != nil {
-		return nil, err
-	}
-	return &RobustReader[User]{src: ur, domain: checkUserDomain, q: q}, nil
-}
-
-// NewRobustSwitchReader is NewRobustUserReader for the switches table.
-func NewRobustSwitchReader(rd io.Reader, file string, q *Quarantine) (*RobustReader[Switch], error) {
-	sr, err := NewSwitchReaderFile(rd, file)
-	if err != nil {
-		return nil, err
-	}
-	return &RobustReader[Switch]{src: sr, domain: checkSwitchDomain, q: q}, nil
-}
-
-// NewRobustPlanReader is NewRobustUserReader for the plan survey.
-func NewRobustPlanReader(rd io.Reader, file string, q *Quarantine) (*RobustReader[market.Plan], error) {
-	pr, err := NewPlanReaderFile(rd, file)
-	if err != nil {
-		return nil, err
-	}
-	return &RobustReader[market.Plan]{src: pr, domain: checkPlanDomain, q: q}, nil
-}
+func (r *robustReader[T]) Row() int { return r.src.Row() }
 
 // Domain bounds. Values outside them are physically or temporally
 // impossible for residential broadband in the study's era and mark counter
@@ -523,96 +493,63 @@ func checkPlanDomain(p *market.Plan) error {
 	return nil
 }
 
-// LoadDirRobust reads a dataset directory the way LoadDir does, but under
+// LoadDirRobust reads a dataset directory the way LoadDir does — plain or
+// .gz tables, and the user shard set when users.csv is absent — but under
 // the quarantine contract: malformed, out-of-domain, duplicated and
 // orphaned rows are skipped and reported instead of aborting the load, up
-// to the configured error budget. The report is returned even when the
+// to the error budget of each file. The report is returned even when the
 // load fails, so callers can see how far ingestion got. Terminal failures
 // (transport errors, exhausted budgets) are typed: *RowError, *BudgetError.
 func LoadDirRobust(dir string, opts QuarantineOptions) (*Dataset, *QuarantineReport, error) {
 	rep := &QuarantineReport{}
-	d := &Dataset{Markets: make(map[string]market.MarketSummary)}
-
-	// Users. Row numbers are kept for the post-pass demotions below.
-	var userRows []int
-	userQ, err := loadTableRobust(dir, "users.csv", opts, rep, NewRobustUserReader, func(u *User, row int) {
-		d.Users = append(d.Users, *u)
-		userRows = append(userRows, row)
-	})
-	if err != nil {
+	d := &Dataset{}
+	var from []rowOrigin
+	var err error
+	if d.Users, from, err = loadUsersRobust(dir, opts, rep); err != nil {
 		return nil, rep, err
 	}
-	// Switches.
-	if _, err := loadTableRobust(dir, "switches.csv", opts, rep, NewRobustSwitchReader, func(s *Switch, _ int) {
-		d.Switches = append(d.Switches, *s)
-	}); err != nil {
+	if d.Switches, err = loadTableRobust(dir, switchesTable, opts, rep); err != nil {
 		return nil, rep, err
 	}
-	// Plan survey.
-	if _, err := loadTableRobust(dir, "plans.csv", opts, rep, NewRobustPlanReader, func(p *market.Plan, _ int) {
-		d.Plans = append(d.Plans, *p)
-	}); err != nil {
+	if d.Plans, err = loadTableRobust(dir, plansTable, opts, rep); err != nil {
 		return nil, rep, err
 	}
 
+	// Post-pass demotions are charged to the file each row came from.
 	// Duplicated user IDs: keep the first occurrence (duplicate-sample
 	// pathology), demote the rest.
 	seen := make(map[int64]bool, len(d.Users))
-	kept := d.Users[:0]
-	keptRows := userRows[:0]
+	n := 0
 	for i := range d.Users {
 		u := &d.Users[i]
 		if seen[u.ID] {
-			if err := userQ.demote(userRows[i], FaultDuplicate, fmt.Errorf("duplicate user id %d", u.ID)); err != nil {
+			if err := from[i].demote(FaultDuplicate, fmt.Errorf("duplicate user id %d", u.ID)); err != nil {
 				return nil, rep, err
 			}
 			continue
 		}
 		seen[u.ID] = true
-		kept = append(kept, *u)
-		keptRows = append(keptRows, userRows[i])
+		d.Users[n], from[n] = *u, from[i]
+		n++
 	}
-	d.Users = kept
-	userRows = keptRows
-
-	// Rebuild per-market summaries from the surviving survey rows, exactly
-	// as the strict loader does.
-	byCountry := make(map[string]*market.Catalog)
-	for _, p := range d.Plans {
-		cat := byCountry[p.Country]
-		if cat == nil {
-			cat = &market.Catalog{}
-			if prof, ok := market.FindProfile(p.Country); ok {
-				cat.Country = prof.Country
-			} else {
-				cat.Country = market.Country{Code: p.Country, Name: p.Country}
-			}
-			byCountry[p.Country] = cat
-		}
-		cat.Plans = append(cat.Plans, p)
-	}
-	for code, cat := range byCountry {
-		sum, err := market.Summarize(*cat)
-		if err != nil {
-			continue // markets with no ≥1 Mbps plan carry no summary
-		}
-		d.Markets[code] = sum
-	}
+	d.Users, from = d.Users[:n], from[:n]
 
 	// Users whose market lost its summary (quarantined survey rows) are
 	// orphans: demote them rather than fail validation.
-	kept = d.Users[:0]
+	d.Markets = summarizeMarkets(d.Plans)
+	n = 0
 	for i := range d.Users {
 		u := &d.Users[i]
 		if _, ok := d.Markets[u.Country]; !ok {
-			if err := userQ.demote(userRows[i], FaultReference, fmt.Errorf("market %q has no plan survey", u.Country)); err != nil {
+			if err := from[i].demote(FaultReference, fmt.Errorf("market %q has no plan survey", u.Country)); err != nil {
 				return nil, rep, err
 			}
 			continue
 		}
-		kept = append(kept, *u)
+		d.Users[n] = *u
+		n++
 	}
-	d.Users = kept
+	d.Users = d.Users[:n]
 
 	// The surviving dataset must satisfy the strict invariants — anything
 	// else would mean the quarantine let corruption through.
@@ -625,33 +562,71 @@ func LoadDirRobust(dir string, opts QuarantineOptions) (*Dataset, *QuarantineRep
 	return d, rep, nil
 }
 
-// loadTableRobust streams one table through its robust reader, returning
-// the quarantine gate so post-passes can demote rows against the same
-// budget.
-func loadTableRobust[T any](
-	dir, base string, opts QuarantineOptions, rep *QuarantineReport,
-	open func(io.Reader, string, *Quarantine) (*RobustReader[T], error),
-	keep func(*T, int),
-) (*Quarantine, error) {
-	rc, path, err := openTablePath(dir, base)
+// rowOrigin locates a kept row: the quarantine gate of its file and its
+// 1-based line there.
+type rowOrigin struct {
+	q   *quarantine
+	row int
+}
+
+func (o rowOrigin) demote(class RowFault, cause error) error { return o.q.demote(o.row, class, cause) }
+
+// loadUsersRobust reads the user table as StreamUsersDir resolves it —
+// users.csv(.gz), else the complete shard set — giving each file its own
+// quarantine gate, so budgets stay per file. It returns the kept users and
+// the origin of each.
+func loadUsersRobust(dir string, opts QuarantineOptions, rep *QuarantineReport) ([]User, []rowOrigin, error) {
+	files, err := userFiles(dir)
 	if err != nil {
-		return nil, &RowError{File: path, Class: FaultIO, Err: err}
+		return nil, nil, &RowError{File: filepath.Join(dir, usersTable.base), Class: FaultIO, Err: err}
+	}
+	var users []User
+	var from []rowOrigin
+	for _, path := range files {
+		if err := readRobust(path, usersTable, opts, rep, func(u *User, o rowOrigin) {
+			users = append(users, *u)
+			from = append(from, o)
+		}); err != nil {
+			return nil, nil, err
+		}
+	}
+	return users, from, nil
+}
+
+// loadTableRobust reads table t from dir (plain or .gz) under its own
+// quarantine gate.
+func loadTableRobust[T any](dir string, t *table[T], opts QuarantineOptions, rep *QuarantineReport) ([]T, error) {
+	path, _ := tablePath(dir, t.base)
+	var out []T
+	if err := readRobust(path, t, opts, rep, func(v *T, _ rowOrigin) {
+		out = append(out, *v)
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readRobust streams one file through t's robust reader under a fresh
+// quarantine gate, handing each surviving row and its origin to keep.
+func readRobust[T any](path string, t *table[T], opts QuarantineOptions, rep *QuarantineReport, keep func(*T, rowOrigin)) error {
+	rc, err := openPath(path)
+	if err != nil {
+		return &RowError{File: path, Class: FaultIO, Err: err}
 	}
 	defer rc.Close()
-	q := NewQuarantine(path, opts, rep)
-	rr, err := open(rc, path, q)
+	rr, err := newRobustReader(t, rc, path, opts, rep)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var v T
 	for {
-		err := rr.Read(&v)
-		if err == io.EOF {
-			return q, nil
+		switch err := rr.Read(&v); err {
+		case nil:
+			keep(&v, rowOrigin{rr.q, rr.Row()})
+		case io.EOF:
+			return nil
+		default:
+			return err
 		}
-		if err != nil {
-			return nil, err
-		}
-		keep(&v, rr.Row())
 	}
 }

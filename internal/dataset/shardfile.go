@@ -21,8 +21,8 @@ import (
 // streaming writers with constant per-row memory; concatenating the shard
 // bodies in index order yields exactly the rows of the monolithic
 // users.csv. Readers never see the difference: StreamUsersDir returns a
-// UserSource over either layout, and LoadDir falls back to the shard set
-// when users.csv is absent.
+// UserSource over either layout, and LoadDir and LoadDirRobust fall back to
+// the shard set when users.csv is absent.
 
 // userShardRe matches a shard file name and captures (index, total, gz).
 var userShardRe = regexp.MustCompile(`^users-(\d{5})-of-(\d{5})\.csv(\.gz)?$`)
@@ -89,13 +89,13 @@ func FindUserShards(dir string) ([]string, error) {
 // complete write (the usual atomic-table contract), and an empty shard is
 // a valid header-only CSV, so a shard set is always complete and loadable.
 // It returns the final path.
-func WriteUserShardCtx(ctx context.Context, dir string, i, total int, gz bool, fn func(*UserWriter) error) (string, error) {
+func WriteUserShardCtx(ctx context.Context, dir string, i, total int, gz bool, fn func(*Writer[User]) error) (string, error) {
 	if i < 0 || total <= 0 || i >= total {
 		return "", fmt.Errorf("dataset: shard index %d of %d out of range", i, total)
 	}
 	path := filepath.Join(dir, UserShardName(i, total, gz))
 	err := writeTableCtx(ctx, path, gz, func(w io.Writer) error {
-		uw, err := NewUserWriter(w)
+		uw, err := newWriter(usersTable, w)
 		if err != nil {
 			return err
 		}
@@ -115,30 +115,32 @@ type UserStream struct {
 	files []string
 	next  int
 	rc    io.ReadCloser
-	ur    *UserReader
+	ur    *Reader[User]
 }
 
 // StreamUsersDir opens the user table under dir for streaming: users.csv
 // (or users.csv.gz) when present, else the complete shard set. The caller
 // owns Close.
 func StreamUsersDir(dir string) (*UserStream, error) {
-	// The monolithic file wins when both layouts are present: it is what
-	// SaveDir writes, and a stray shard set cannot shadow it.
-	if rc, path, err := openTablePath(dir, "users.csv"); err == nil {
-		ur, err := NewUserReaderFile(rc, path)
-		if err != nil {
-			rc.Close()
-			return nil, err
-		}
-		return &UserStream{files: []string{path}, next: 1, rc: rc, ur: ur}, nil
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	files, err := FindUserShards(dir)
+	files, err := userFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &UserStream{files: files}, nil
+	s := &UserStream{files: files}
+	if err := s.open(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// userFiles resolves the user table of dir to the files that hold it, in
+// row order. The monolithic file wins when both layouts are present: it is
+// what SaveDir writes, and a stray shard set cannot shadow it.
+func userFiles(dir string) ([]string, error) {
+	if path, ok := tablePath(dir, usersTable.base); ok {
+		return []string{path}, nil
+	}
+	return FindUserShards(dir)
 }
 
 // Files returns the paths the stream reads, in order.
@@ -151,7 +153,7 @@ func (s *UserStream) open() error {
 	if err != nil {
 		return err
 	}
-	ur, err := NewUserReaderFile(rc, path)
+	ur, err := newReader(usersTable, rc, path)
 	if err != nil {
 		rc.Close()
 		return err

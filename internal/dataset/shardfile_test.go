@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/nwca/broadband/internal/market"
@@ -38,7 +40,7 @@ func writeShardSet(t *testing.T, dir string, users []User, total int, gz bool) {
 	t.Helper()
 	for i := 0; i < total; i++ {
 		lo, hi := i*len(users)/total, (i+1)*len(users)/total
-		_, err := WriteUserShardCtx(context.Background(), dir, i, total, gz, func(w *UserWriter) error {
+		_, err := WriteUserShardCtx(context.Background(), dir, i, total, gz, func(w *Writer[User]) error {
 			for j := lo; j < hi; j++ {
 				if err := w.Write(&users[j]); err != nil {
 					return err
@@ -52,20 +54,13 @@ func writeShardSet(t *testing.T, dir string, users []User, total int, gz bool) {
 	}
 }
 
-func readAll(t *testing.T, src UserSource) []User {
+func mustReadUsers(t *testing.T, src UserSource) []User {
 	t.Helper()
-	var out []User
-	var u User
-	for {
-		switch err := src.Read(&u); err {
-		case nil:
-			out = append(out, u)
-		case io.EOF:
-			return out
-		default:
-			t.Fatal(err)
-		}
+	users, err := readAll[User](src)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return users
 }
 
 func TestUserStreamOverShards(t *testing.T) {
@@ -82,7 +77,7 @@ func TestUserStreamOverShards(t *testing.T) {
 		if len(us.Files()) != 4 {
 			t.Fatalf("gz=%v: stream over %d files, want 4", gz, len(us.Files()))
 		}
-		got := readAll(t, us)
+		got := mustReadUsers(t, us)
 		if err := us.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +108,7 @@ func TestUserStreamSkipsEmptyShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer us.Close()
-	got := readAll(t, us)
+	got := mustReadUsers(t, us)
 	if len(got) != 2 {
 		t.Fatalf("read %d users through empty shards, want 2", len(got))
 	}
@@ -124,7 +119,7 @@ func TestMonolithicFileWinsOverShards(t *testing.T) {
 	dir := t.TempDir()
 	writeShardSet(t, dir, shardTestUsers(6), 2, false)
 	mono := shardTestUsers(3)
-	if err := writeTable(filepath.Join(dir, "users.csv"), false, func(w io.Writer) error {
+	if err := writeTableCtx(context.Background(), filepath.Join(dir, "users.csv"), false, func(w io.Writer) error {
 		return WriteUsers(w, mono)
 	}); err != nil {
 		t.Fatal(err)
@@ -134,7 +129,7 @@ func TestMonolithicFileWinsOverShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer us.Close()
-	if got := readAll(t, us); len(got) != 3 {
+	if got := mustReadUsers(t, us); len(got) != 3 {
 		t.Fatalf("read %d users, want the 3 from users.csv (monolithic file wins)", len(got))
 	}
 }
@@ -176,7 +171,7 @@ func TestFindUserShardsRejectsBrokenSets(t *testing.T) {
 		t.Parallel()
 		dir := t.TempDir()
 		for _, c := range []struct{ i, n int }{{-1, 2}, {2, 2}, {0, 0}} {
-			if _, err := WriteUserShardCtx(context.Background(), dir, c.i, c.n, false, func(*UserWriter) error { return nil }); err == nil {
+			if _, err := WriteUserShardCtx(context.Background(), dir, c.i, c.n, false, func(*Writer[User]) error { return nil }); err == nil {
 				t.Errorf("WriteUserShardCtx(%d, %d) accepted an out-of-range index", c.i, c.n)
 			}
 		}
@@ -222,5 +217,104 @@ func TestLoadDirReadsShardedUsers(t *testing.T) {
 		if mono.Users[i] != sharded.Users[i] {
 			t.Fatalf("user %d differs between layouts", i)
 		}
+	}
+}
+
+// shardedTwins saves one dataset twice — monolithic, and with its users as
+// a 3-shard set — and returns both directories.
+func shardedTwins(t *testing.T) (monoDir, shardDir string) {
+	t.Helper()
+	d := sampleDataset()
+	d.Users = manyUsers(60)
+	for _, cc := range []string{"US", "JP", "DE", "BR", "IN"} {
+		for _, mbps := range []float64{1, 2, 4, 8, 16} {
+			d.Plans = append(d.Plans, planFor(cc, mbps, 20+0.5*(mbps-1)))
+		}
+	}
+	monoDir, shardDir = t.TempDir(), t.TempDir()
+	for _, dir := range []string{monoDir, shardDir} {
+		if err := d.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(shardDir, "users.csv")); err != nil {
+		t.Fatal(err)
+	}
+	writeShardSet(t, shardDir, d.Users, 3, false)
+	return monoDir, shardDir
+}
+
+// TestLoadDirRobustReadsShardedUsers: the quarantine loader resolves the
+// user table exactly as LoadDir does, so a clean sharded directory loads
+// to the same dataset as its monolithic twin.
+func TestLoadDirRobustReadsShardedUsers(t *testing.T) {
+	t.Parallel()
+	monoDir, shardDir := shardedTwins(t)
+	mono, monoRep, err := LoadDirRobust(monoDir, QuarantineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, shardRep, err := LoadDirRobust(shardDir, QuarantineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(monoRep.Diags) != 0 || len(shardRep.Diags) != 0 {
+		t.Fatalf("clean data quarantined rows: mono %v, sharded %v", monoRep.Diags, shardRep.Diags)
+	}
+	if shardRep.RowsRead != monoRep.RowsRead || shardRep.RowsKept != monoRep.RowsKept {
+		t.Errorf("sharded report %d/%d rows, monolithic %d/%d",
+			shardRep.RowsKept, shardRep.RowsRead, monoRep.RowsKept, monoRep.RowsRead)
+	}
+	if !reflect.DeepEqual(mono.Users, sharded.Users) || !reflect.DeepEqual(mono.Switches, sharded.Switches) ||
+		!reflect.DeepEqual(mono.Plans, sharded.Plans) {
+		t.Error("sharded robust load differs from the monolithic one")
+	}
+}
+
+// TestLoadDirRobustShardDiagnostics: every diagnostic names the shard a row
+// came from and its row in that file — streaming faults and post-pass
+// demotions alike.
+func TestLoadDirRobustShardDiagnostics(t *testing.T) {
+	t.Parallel()
+	_, dir := shardedTwins(t)
+	shard := func(i int) string { return filepath.Join(dir, UserShardName(i, 3, false)) }
+	lines := func(path string) []string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+	}
+	// Shard 2, row 3: an unparseable year.
+	s2 := lines(shard(2))
+	s2[2] = strings.Replace(s2[2], ",2011,", ",twenty11,", 1)
+	s2[2] = strings.Replace(s2[2], ",2012,", ",twenty12,", 1)
+	s2[2] = strings.Replace(s2[2], ",2013,", ",twenty13,", 1)
+	// Shard 1: a copy of shard 0's first user appended as its last row.
+	s1 := append(lines(shard(1)), "\n"+lines(shard(0))[1])
+	for path, body := range map[string][]string{shard(1): s1, shard(2): s2} {
+		if err := os.WriteFile(path, []byte(strings.Join(body, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d, rep, err := LoadDirRobust(dir, QuarantineOptions{MaxBadFrac: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []RowDiag{
+		{File: shard(2), Row: 3, Class: FaultParse},
+		{File: shard(1), Row: len(s1), Class: FaultDuplicate},
+	}
+	if len(rep.Diags) != len(want) {
+		t.Fatalf("diags %v, want %d", rep.Diags, len(want))
+	}
+	for i, w := range want {
+		if g := rep.Diags[i]; g.File != w.File || g.Row != w.Row || g.Class != w.Class {
+			t.Errorf("diag %d = %s, want %s row %d [%s]", i, g, w.File, w.Row, w.Class)
+		}
+	}
+	if len(d.Users) != 59 {
+		t.Errorf("kept %d users, want 59", len(d.Users))
 	}
 }

@@ -15,10 +15,10 @@ import (
 	"github.com/nwca/broadband/internal/market"
 )
 
-// Streaming CSV layer: record-at-a-time readers and writers with constant
-// per-row memory. The slice-based API (ReadUsers/WriteUsers and friends) is
-// a thin wrapper over these; experiments that must scale past RAM consume
-// the iterators directly through UserSource.
+// Streaming CSV layer: one record-at-a-time Reader and one Writer, generic
+// over the table descriptor, with constant per-row memory. The loaders and
+// the slice writers are thin wrappers over these; experiments that must
+// scale past RAM consume the iterators directly through UserSource.
 //
 // Readers reuse the csv.Reader record slice (ReuseRecord) and enforce the
 // header's field count on every row; writers encode each record into a
@@ -116,115 +116,34 @@ func fieldNeedsQuotes(field string) bool {
 	return unicode.IsSpace(r1)
 }
 
-// Per-record encoders. Field order is the single source of truth shared
-// with the decoders below; the slice writers and the sharded parallel
-// encoder both go through these.
-
-func encodeUser(w *rowWriter, u *User) error {
-	w.i64(u.ID)
-	w.str(u.Country)
-	w.int(int(u.Vantage))
-	w.int(u.Year)
-	w.str(u.ISP)
-	w.str(u.NetworkKey)
-	w.f64(u.PlanDown.Mbps())
-	w.f64(u.PlanUp.Mbps())
-	w.f64(u.PlanPrice.Dollars())
-	w.int(int(u.PlanTech))
-	w.f64(u.PlanCap.GB())
-	w.f64(u.Capacity.Mbps())
-	w.f64(u.UpCapacity.Mbps())
-	w.f64(u.RTT * 1000)
-	w.f64(u.WebRTT * 1000)
-	w.f64(u.Loss.Percent())
-	w.f64(u.Usage.Mean.Mbps())
-	w.f64(u.Usage.Peak.Mbps())
-	w.f64(u.Usage.MeanNoBT.Mbps())
-	w.f64(u.Usage.PeakNoBT.Mbps())
-	w.bool(u.UsesBT)
-	w.int(int(u.Archetype))
-	w.f64(u.AccessPrice.Dollars())
-	w.f64(float64(u.UpgradeCost))
-	return w.endRow()
+// Writer streams one table to CSV a record at a time with constant per-row
+// memory. The header is written by the constructor; each Write emits one
+// row. Errors are sticky and carry the row number.
+type Writer[T any] struct {
+	w      rowWriter
+	encode func(*rowWriter, *T) error
 }
 
-func encodeSwitch(w *rowWriter, s *Switch) error {
-	w.i64(s.UserID)
-	w.str(s.Country)
-	w.str(s.FromNet)
-	w.str(s.ToNet)
-	w.f64(s.FromDown.Mbps())
-	w.f64(s.ToDown.Mbps())
-	w.f64(s.Before.Mean.Mbps())
-	w.f64(s.Before.Peak.Mbps())
-	w.f64(s.Before.MeanNoBT.Mbps())
-	w.f64(s.Before.PeakNoBT.Mbps())
-	w.f64(s.After.Mean.Mbps())
-	w.f64(s.After.Peak.Mbps())
-	w.f64(s.After.MeanNoBT.Mbps())
-	w.f64(s.After.PeakNoBT.Mbps())
-	return w.endRow()
+// newWriter writes t's header and returns the streaming writer.
+func newWriter[T any](t *table[T], w io.Writer) (*Writer[T], error) {
+	tw := &Writer[T]{w: rowWriter{w: w, table: t.name}, encode: t.encode}
+	if err := tw.w.header(t.header); err != nil {
+		return nil, err
+	}
+	return tw, nil
 }
 
-func encodePlan(w *rowWriter, p *market.Plan) error {
-	w.str(p.Country)
-	w.str(p.ISP)
-	w.f64(p.Down.Mbps())
-	w.f64(p.Up.Mbps())
-	w.f64(p.PriceLocal)
-	w.f64(p.PriceUSD.Dollars())
-	w.f64(p.Cap.GB())
-	w.int(int(p.Tech))
-	w.bool(p.Dedicated)
-	return w.endRow()
-}
-
-// UserWriter streams users to CSV one record at a time with constant
-// per-row memory. The header is written by NewUserWriter; each Write emits
-// one row. Errors are sticky and carry the row number.
-type UserWriter struct{ w rowWriter }
+// Write appends one row.
+func (w *Writer[T]) Write(v *T) error { return w.encode(&w.w, v) }
 
 // NewUserWriter writes the users header and returns the streaming writer.
-func NewUserWriter(w io.Writer) (*UserWriter, error) {
-	uw := &UserWriter{rowWriter{w: w, table: "users"}}
-	if err := uw.w.header(userHeader); err != nil {
-		return nil, err
-	}
-	return uw, nil
-}
-
-// Write appends one user row.
-func (w *UserWriter) Write(u *User) error { return encodeUser(&w.w, u) }
-
-// SwitchWriter streams service-change records; see UserWriter.
-type SwitchWriter struct{ w rowWriter }
+func NewUserWriter(w io.Writer) (*Writer[User], error) { return newWriter(usersTable, w) }
 
 // NewSwitchWriter writes the switches header and returns the streaming writer.
-func NewSwitchWriter(w io.Writer) (*SwitchWriter, error) {
-	sw := &SwitchWriter{rowWriter{w: w, table: "switches"}}
-	if err := sw.w.header(switchHeader); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-// Write appends one switch row.
-func (w *SwitchWriter) Write(s *Switch) error { return encodeSwitch(&w.w, s) }
-
-// PlanWriter streams plan-survey records; see UserWriter.
-type PlanWriter struct{ w rowWriter }
+func NewSwitchWriter(w io.Writer) (*Writer[Switch], error) { return newWriter(switchesTable, w) }
 
 // NewPlanWriter writes the plans header and returns the streaming writer.
-func NewPlanWriter(w io.Writer) (*PlanWriter, error) {
-	pw := &PlanWriter{rowWriter{w: w, table: "plans"}}
-	if err := pw.w.header(planHeader); err != nil {
-		return nil, err
-	}
-	return pw, nil
-}
-
-// Write appends one plan row.
-func (w *PlanWriter) Write(p *market.Plan) error { return encodePlan(&w.w, p) }
+func NewPlanWriter(w io.Writer) (*Writer[market.Plan], error) { return newWriter(plansTable, w) }
 
 // wrapReadErr converts a csv.Reader error into the typed *RowError every
 // dataset load reports. Structural CSV faults (field count, quoting) carry
@@ -251,11 +170,32 @@ func wrapReadErr(file string, err error) error {
 	return &RowError{File: file, Class: FaultIO, Err: err}
 }
 
-// newStreamReader validates the header and returns a csv.Reader configured
-// for record-at-a-time reading: the record slice is reused across rows and
-// the header's field count is enforced on every subsequent row. Header
+// UserSource yields users one record at a time; Read returns io.EOF after
+// the last user. The streaming CSV reader implements it, as do UserStream
+// and View.Source, so out-of-core consumers are written once and run over
+// worlds larger than RAM.
+type UserSource interface {
+	Read(*User) error
+}
+
+// Reader iterates one CSV table a record at a time with constant memory.
+// Read fills the caller's record and returns io.EOF after the last row;
+// every other error is a *RowError carrying the file, the 1-based row
+// number (the header is row 1) and the fault class.
+type Reader[T any] struct {
+	cr     *csv.Reader
+	decode func(*parser, *T)
+	file   string
+	row    int
+	// p is reused across rows: a per-row parser would escape through the
+	// decode call and cost an allocation per record.
+	p parser
+}
+
+// newReader validates t's header and returns the iterator. The file name
+// (typically the path being read) is stamped onto every error. Header
 // faults are typed *RowError values anchored at row 1.
-func newStreamReader(r io.Reader, file string, header []string) (*csv.Reader, error) {
+func newReader[T any](t *table[T], r io.Reader, file string) (*Reader[T], error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	hdr, err := cr.Read()
@@ -265,72 +205,36 @@ func newStreamReader(r io.Reader, file string, header []string) (*csv.Reader, er
 	if err != nil {
 		return nil, wrapReadErr(file, err)
 	}
-	if err := checkHeader(hdr, header); err != nil {
+	if err := checkHeader(hdr, t.header); err != nil {
 		return nil, &RowError{File: file, Row: 1, Class: FaultSyntax, Err: err}
 	}
-	cr.FieldsPerRecord = len(header)
-	return cr, nil
-}
-
-// UserSource yields users one record at a time; Read returns io.EOF after
-// the last user. *UserReader (the streaming CSV iterator) implements it,
-// as do the in-memory adapters UsersOf and View.Source, so out-of-core
-// consumers are written once and run over worlds larger than RAM.
-type UserSource interface {
-	Read(*User) error
-}
-
-// sliceUsers adapts an in-memory slice to UserSource.
-type sliceUsers struct {
-	users []User
-	i     int
-}
-
-func (s *sliceUsers) Read(u *User) error {
-	if s.i >= len(s.users) {
-		return io.EOF
-	}
-	*u = s.users[s.i]
-	s.i++
-	return nil
-}
-
-// UsersOf adapts a user slice to a UserSource.
-func UsersOf(users []User) UserSource { return &sliceUsers{users: users} }
-
-// UserReader iterates a users CSV one record at a time with constant
-// memory. Read fills the caller's User and returns io.EOF after the last
-// row; every other error is a *RowError carrying the file, the 1-based row
-// number (the header is row 1) and the fault class.
-type UserReader struct {
-	cr   *csv.Reader
-	file string
-	row  int
+	cr.FieldsPerRecord = len(t.header)
+	return &Reader[T]{cr: cr, decode: t.decode, file: file, row: 1}, nil
 }
 
 // NewUserReader validates the users header and returns the iterator. Load
-// errors name the table; use NewUserReaderFile to carry a real path.
-func NewUserReader(r io.Reader) (*UserReader, error) {
-	return NewUserReaderFile(r, "users")
+// errors name the table.
+func NewUserReader(r io.Reader) (*Reader[User], error) {
+	return newReader(usersTable, r, usersTable.name)
 }
 
-// NewUserReaderFile is NewUserReader with an explicit file name (typically
-// the path being read) stamped onto every error.
-func NewUserReaderFile(r io.Reader, file string) (*UserReader, error) {
-	cr, err := newStreamReader(r, file, userHeader)
-	if err != nil {
-		return nil, err
-	}
-	return &UserReader{cr: cr, file: file, row: 1}, nil
+// NewSwitchReader validates the switches header and returns the iterator.
+func NewSwitchReader(r io.Reader) (*Reader[Switch], error) {
+	return newReader(switchesTable, r, switchesTable.name)
+}
+
+// NewPlanReader validates the plans header and returns the iterator.
+func NewPlanReader(r io.Reader) (*Reader[market.Plan], error) {
+	return newReader(plansTable, r, plansTable.name)
 }
 
 // Row reports the 1-based line of the record Read last returned (or, after
 // an error, of the record it failed on).
-func (r *UserReader) Row() int { return r.row }
+func (r *Reader[T]) Row() int { return r.row }
 
-// Read parses the next user into u. It returns io.EOF at end of stream,
-// leaving u unspecified.
-func (r *UserReader) Read(u *User) error {
+// Read parses the next record into v. It returns io.EOF at end of stream,
+// leaving v unspecified.
+func (r *Reader[T]) Read(v *T) error {
 	rec, err := r.cr.Read()
 	if err != nil {
 		if err == io.EOF {
@@ -346,104 +250,26 @@ func (r *UserReader) Read(u *User) error {
 	// FieldPos gives the record's physical start line, so numbering stays
 	// exact even after a structurally bad row was skipped.
 	r.row, _ = r.cr.FieldPos(0)
-	p := &parser{rec: rec}
-	decodeUser(p, u)
-	if p.err != nil {
-		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: p.err}
+	r.p = parser{rec: rec}
+	r.decode(&r.p, v)
+	if r.p.err != nil {
+		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: r.p.err}
 	}
 	return nil
 }
 
-// SwitchReader iterates a switches CSV; see UserReader.
-type SwitchReader struct {
-	cr   *csv.Reader
-	file string
-	row  int
-}
-
-// NewSwitchReader validates the switches header and returns the iterator.
-func NewSwitchReader(r io.Reader) (*SwitchReader, error) {
-	return NewSwitchReaderFile(r, "switches")
-}
-
-// NewSwitchReaderFile is NewSwitchReader with an explicit file name.
-func NewSwitchReaderFile(r io.Reader, file string) (*SwitchReader, error) {
-	cr, err := newStreamReader(r, file, switchHeader)
-	if err != nil {
-		return nil, err
-	}
-	return &SwitchReader{cr: cr, file: file, row: 1}, nil
-}
-
-// Row reports the 1-based line of the record Read last returned.
-func (r *SwitchReader) Row() int { return r.row }
-
-// Read parses the next switch into s, returning io.EOF at end of stream.
-func (r *SwitchReader) Read(s *Switch) error {
-	rec, err := r.cr.Read()
-	if err != nil {
-		if err == io.EOF {
-			return err
+// readAll drains a record source into a slice.
+func readAll[T any](src interface{ Read(*T) error }) ([]T, error) {
+	var out []T
+	var v T
+	for {
+		switch err := src.Read(&v); err {
+		case nil:
+			out = append(out, v)
+		case io.EOF:
+			return out, nil
+		default:
+			return nil, err
 		}
-		err = wrapReadErr(r.file, err)
-		var re *RowError
-		if errors.As(err, &re) && re.Row > 0 {
-			r.row = re.Row
-		}
-		return err
 	}
-	r.row, _ = r.cr.FieldPos(0)
-	p := &parser{rec: rec}
-	decodeSwitch(p, s)
-	if p.err != nil {
-		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: p.err}
-	}
-	return nil
-}
-
-// PlanReader iterates a plan-survey CSV; see UserReader.
-type PlanReader struct {
-	cr   *csv.Reader
-	file string
-	row  int
-}
-
-// NewPlanReader validates the plans header and returns the iterator.
-func NewPlanReader(r io.Reader) (*PlanReader, error) {
-	return NewPlanReaderFile(r, "plans")
-}
-
-// NewPlanReaderFile is NewPlanReader with an explicit file name.
-func NewPlanReaderFile(r io.Reader, file string) (*PlanReader, error) {
-	cr, err := newStreamReader(r, file, planHeader)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanReader{cr: cr, file: file, row: 1}, nil
-}
-
-// Row reports the 1-based line of the record Read last returned.
-func (r *PlanReader) Row() int { return r.row }
-
-// Read parses the next plan into p, returning io.EOF at end of stream.
-func (r *PlanReader) Read(pl *market.Plan) error {
-	rec, err := r.cr.Read()
-	if err != nil {
-		if err == io.EOF {
-			return err
-		}
-		err = wrapReadErr(r.file, err)
-		var re *RowError
-		if errors.As(err, &re) && re.Row > 0 {
-			r.row = re.Row
-		}
-		return err
-	}
-	r.row, _ = r.cr.FieldPos(0)
-	p := &parser{rec: rec}
-	decodePlan(p, pl)
-	if p.err != nil {
-		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: p.err}
-	}
-	return nil
 }

@@ -42,6 +42,7 @@ func BenchmarkWriteUsersStream(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteUsersParallel measures the sharded encoder SaveDir uses.
 func BenchmarkWriteUsersParallel(b *testing.B) {
 	users := benchUserSet()
 	var buf bytes.Buffer
@@ -49,7 +50,7 @@ func BenchmarkWriteUsersParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteUsersParallel(&buf, users, 0); err != nil {
+		if err := writeSharded(&buf, usersTable, users, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,27 +112,6 @@ func BenchmarkReadUsersBaselineReadAll(b *testing.B) {
 				b.Fatal(p.err)
 			}
 			users = append(users, u)
-		}
-		if len(users) != benchRows {
-			b.Fatalf("read %d rows", len(users))
-		}
-	}
-}
-
-// BenchmarkReadUsersSlice measures the public slice API (streaming under
-// the hood, plus the result slice the caller asked for).
-func BenchmarkReadUsersSlice(b *testing.B) {
-	var buf bytes.Buffer
-	if err := WriteUsers(&buf, benchUserSet()); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		users, err := ReadUsers(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
 		}
 		if len(users) != benchRows {
 			b.Fatalf("read %d rows", len(users))

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
 	"io"
 	"math"
 	"os"
@@ -87,33 +88,43 @@ func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 	}
 }
 
+// readTable reads a whole table into a slice: t's header check, then
+// every row through the streaming Reader.
+func readTable[T any](t *table[T], r io.Reader) ([]T, error) {
+	tr, err := newReader(t, r, t.name)
+	if err != nil {
+		return nil, err
+	}
+	return readAll[T](tr)
+}
+
+// TestStreamingReaderMatchesSliceAPI holds the record-at-a-time Reader
+// (reused record slice, reused parser) to an independent whole-table
+// decode: csv.ReadAll materializing every record, each decoded afresh.
 func TestStreamingReaderMatchesSliceAPI(t *testing.T) {
-	users := manyUsers(137)
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, users); err != nil {
+	if err := WriteUsers(&buf, manyUsers(137)); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
-	whole, err := ReadUsers(bytes.NewReader(raw))
+	recs, err := csv.NewReader(bytes.NewReader(raw)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ur, err := NewUserReader(bytes.NewReader(raw))
+	var whole []User
+	for _, rec := range recs[1:] {
+		p := &parser{rec: rec}
+		var u User
+		decodeUser(p, &u)
+		if p.err != nil {
+			t.Fatal(p.err)
+		}
+		whole = append(whole, u)
+	}
+	streamed, err := readTable(usersTable, bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var streamed []User
-	var u User
-	for {
-		err := ur.Read(&u)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed = append(streamed, u)
 	}
 	if len(streamed) != len(whole) {
 		t.Fatalf("streamed %d users, slice API %d", len(streamed), len(whole))
@@ -131,12 +142,12 @@ func TestShardedEncodeByteIdentical(t *testing.T) {
 	users := manyUsers(101)
 	d := sampleDataset()
 	var ref bytes.Buffer
-	if err := WriteUsersParallel(&ref, users, 1); err != nil {
+	if err := writeSharded(&ref, usersTable, users, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 16, 101, 333} {
 		var got bytes.Buffer
-		if err := WriteUsersParallel(&got, users, workers); err != nil {
+		if err := writeSharded(&got, usersTable, users, workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !bytes.Equal(ref.Bytes(), got.Bytes()) {
@@ -145,11 +156,11 @@ func TestShardedEncodeByteIdentical(t *testing.T) {
 	}
 
 	var refS bytes.Buffer
-	if err := WriteSwitchesParallel(&refS, d.Switches, 1); err != nil {
+	if err := writeSharded(&refS, switchesTable, d.Switches, 1); err != nil {
 		t.Fatal(err)
 	}
 	var gotS bytes.Buffer
-	if err := WriteSwitchesParallel(&gotS, d.Switches, 4); err != nil {
+	if err := writeSharded(&gotS, switchesTable, d.Switches, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(refS.Bytes(), gotS.Bytes()) {
@@ -157,11 +168,11 @@ func TestShardedEncodeByteIdentical(t *testing.T) {
 	}
 
 	var refP bytes.Buffer
-	if err := WritePlansParallel(&refP, d.Plans, 1); err != nil {
+	if err := writeSharded(&refP, plansTable, d.Plans, 1); err != nil {
 		t.Fatal(err)
 	}
 	var gotP bytes.Buffer
-	if err := WritePlansParallel(&gotP, d.Plans, 4); err != nil {
+	if err := writeSharded(&gotP, plansTable, d.Plans, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(refP.Bytes(), gotP.Bytes()) {
@@ -212,7 +223,7 @@ func TestQuotedFieldsSurviveStreaming(t *testing.T) {
 	if err := WriteUsers(&buf, []User{u}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadUsers(&buf)
+	back, err := readTable(usersTable, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +258,7 @@ func TestLosslessFloatFields(t *testing.T) {
 		if err := WriteUsers(&buf, []User{u}); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadUsers(&buf)
+		back, err := readTable(usersTable, &buf)
 		if err != nil {
 			t.Fatalf("value %g: %v", v, err)
 		}
@@ -266,7 +277,7 @@ func TestLosslessFloatFields(t *testing.T) {
 		if err := WritePlans(&buf, []market.Plan{p}); err != nil {
 			t.Fatal(err)
 		}
-		plans, err := ReadPlans(&buf)
+		plans, err := readTable(plansTable, &buf)
 		if err != nil {
 			t.Fatalf("value %g: %v", v, err)
 		}
@@ -285,7 +296,7 @@ func TestScaledFieldsStableAfterOneCycle(t *testing.T) {
 	if err := WriteUsers(&first, users); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadUsers(bytes.NewReader(first.Bytes()))
+	loaded, err := readTable(usersTable, bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +307,7 @@ func TestScaledFieldsStableAfterOneCycle(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Error("users CSV not byte-identical after save→load→save")
 	}
-	reloaded, err := ReadUsers(bytes.NewReader(second.Bytes()))
+	reloaded, err := readTable(usersTable, bytes.NewReader(second.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

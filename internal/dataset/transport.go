@@ -49,26 +49,17 @@ func openPath(path string) (io.ReadCloser, error) {
 	return &gzipFile{Reader: zr, fp: fp}, nil
 }
 
-// openTable opens dir/base, falling back to dir/base.gz, so a directory
-// written with SaveOptions.Gzip loads with the same call as a plain one.
-func openTable(dir, base string) (io.ReadCloser, error) {
-	rc, _, err := openTablePath(dir, base)
-	return rc, err
-}
-
-// openTablePath is openTable returning the path actually opened, so load
-// errors can name the real file (plain or .gz). On failure the returned
-// path is the plain variant.
-func openTablePath(dir, base string) (io.ReadCloser, string, error) {
+// tablePath resolves table base under dir to the file a load reads: base
+// itself, else base.gz, so a directory written with SaveOptions.Gzip loads
+// with the same call as a plain one. Any outcome but "absent" selects a
+// file, so opening it reports the real failure. When neither exists, ok is
+// false and path is the plain variant.
+func tablePath(dir, base string) (path string, ok bool) {
 	plain := filepath.Join(dir, base)
-	rc, err := openPath(plain)
-	if err == nil || !errors.Is(err, fs.ErrNotExist) {
-		return rc, plain, err
+	for _, p := range []string{plain, plain + ".gz"} {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			return p, true
+		}
 	}
-	gz := plain + ".gz"
-	rc, err = openPath(gz)
-	if err != nil && errors.Is(err, fs.ErrNotExist) {
-		return nil, plain, err
-	}
-	return rc, gz, err
+	return plain, false
 }

@@ -32,7 +32,7 @@ func TestOverviewSketchVsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketch, err := OverviewFromSource(dataset.UsersOf(d.Users))
+	sketch, err := OverviewFromSource(d.Panel().All().Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestOverviewScaleInvariantChecks(t *testing.T) {
 // rows is an error, not a zero-filled artifact.
 func TestOverviewEmptyPanel(t *testing.T) {
 	t.Parallel()
-	if _, err := OverviewFromSource(dataset.UsersOf(nil)); err == nil {
+	if _, err := OverviewFromSource(dataset.BuildPanel(nil).All().Source()); err == nil {
 		t.Error("empty source produced an overview")
 	}
 	gw := []dataset.User{{ID: 1, Vantage: dataset.VantageGateway}}
-	if _, err := OverviewFromSource(dataset.UsersOf(gw)); err == nil {
+	if _, err := OverviewFromSource(dataset.BuildPanel(gw).All().Source()); err == nil {
 		t.Error("gateway-only source produced an overview")
 	}
 	if _, err := OverviewExact(dataset.BuildPanel(gw)); err == nil {

@@ -110,7 +110,7 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 	err = par.ForNCtx(ctx, par.Workers(cfg.Workers), spec.Shards, func(s int) error {
 		lo, hi := s*lay.total/spec.Shards, (s+1)*lay.total/spec.Shards
 		skipped[s] = make(map[string]int)
-		path, err := dataset.WriteUserShardCtx(ctx, spec.Dir, s, spec.Shards, spec.Gzip, func(uw *dataset.UserWriter) error {
+		path, err := dataset.WriteUserShardCtx(ctx, spec.Dir, s, spec.Shards, spec.Gzip, func(uw *dataset.Writer[dataset.User]) error {
 			for i := lo; i < hi; i++ {
 				if err := ctx.Err(); err != nil {
 					return err
