@@ -35,8 +35,6 @@ import (
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/experiments"
 	"github.com/nwca/broadband/internal/market"
-	"github.com/nwca/broadband/internal/par"
-	"github.com/nwca/broadband/internal/randx"
 	"github.com/nwca/broadband/internal/synth"
 	"github.com/nwca/broadband/internal/unit"
 )
@@ -270,21 +268,15 @@ func Experiments() []ReportEntry { return experiments.Registry() }
 // (its Sec. 10 future-work directions: usage caps, user categories).
 func ExtensionExperiments() []ReportEntry { return experiments.Extensions() }
 
-// FindExperiment returns the registry entry for a paper artifact ID
-// ("Table 1" … "Fig. 12"); extensions are not searched.
-func FindExperiment(id string) (ReportEntry, bool) { return experiments.Find(id) }
-
-// Run executes the reproduction of one paper artifact ("Table 1" … "Fig. 12")
-// against a dataset. seed controls the matching order randomization.
+// Run executes the reproduction of one artifact ("Table 1" … "Fig. 12",
+// or an extension such as "Ext. A") against a dataset. seed controls the
+// matching order randomization.
 func Run(id string, d *Dataset, seed uint64) (Report, error) {
-	e, ok := experiments.Find(id)
-	if !ok {
-		e, ok = experiments.FindExtension(id)
-	}
+	e, ok := experiments.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("broadband: unknown experiment %q", id)
 	}
-	return e.Run(d, randx.New(seed).Split(id))
+	return e.Compute(d, seed)
 }
 
 // RunAll executes every reproduction, returning the reports in registry
@@ -315,37 +307,23 @@ func RunAllWorkersCtx(ctx context.Context, d *Dataset, seed uint64, workers int)
 	return runEntries(ctx, experiments.Registry(), d, seed, workers)
 }
 
-// runEntries fans an entry list out over the worker pool with ordered
-// collection: reports come back in entry order, every entry runs even when
-// some fail, and the returned error is the lowest-indexed failure — with
-// the reports preceding it — exactly what a sequential loop would report.
-// Cancellation is the one exception to run-everything: once ctx is
-// cancelled no new entry is dispatched, and ctx.Err() is returned with the
-// contiguous prefix of completed reports (an entry that never ran cannot
-// appear, so nothing after a gap is reported).
+// runEntries reduces experiments.RunEach to the facade's error contract:
+// the returned error is the lowest-indexed failure, with the reports
+// preceding it — exactly what a sequential loop would report. On
+// cancellation it returns ctx.Err() with the contiguous prefix of
+// completed reports (an entry that never ran cannot appear, so nothing
+// after a gap is reported).
 func runEntries(ctx context.Context, entries []ReportEntry, d *Dataset, seed uint64, workers int) ([]Report, error) {
-	reports := make([]Report, len(entries))
-	errs := make([]error, len(entries))
-	// fn never returns an experiment error: failures are collected in errs
-	// so every entry runs (ForNCtx would otherwise stop dispatch at the
-	// first one). Only cancellation cuts the fan-out short.
-	ctxErr := par.ForNCtx(ctx, par.Workers(workers), len(entries), func(i int) error {
-		reports[i], errs[i] = entries[i].Run(d, randx.New(seed).Split(entries[i].ID))
-		return nil
-	})
-	out := make([]Report, 0, len(entries))
+	reports, errs, ctxErr := experiments.RunEach(ctx, entries, d, seed, workers)
 	for i, e := range entries {
 		if ctxErr != nil && reports[i] == nil && errs[i] == nil {
-			// Entry i never ran (cancelled before dispatch): report the
-			// prefix that did complete.
-			return out, ctxErr
+			return reports[:i], ctxErr
 		}
 		if errs[i] != nil {
-			return out, fmt.Errorf("broadband: %s: %w", e.ID, errs[i])
+			return reports[:i], fmt.Errorf("broadband: %s: %w", e.ID, errs[i])
 		}
-		out = append(out, reports[i])
 	}
-	return out, ctxErr
+	return reports, ctxErr
 }
 
 // RunPaired evaluates the within-subject upgrade experiment (Table 1's

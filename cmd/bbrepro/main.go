@@ -17,19 +17,15 @@ import (
 
 	broadband "github.com/nwca/broadband"
 	"github.com/nwca/broadband/internal/cli"
-	"github.com/nwca/broadband/internal/golden"
-	"github.com/nwca/broadband/internal/par"
+	"github.com/nwca/broadband/internal/experiments"
 )
 
 func main() {
 	world := cli.RegisterWorldOrData(cli.GoldenWorld)
 	var (
-		only     = flag.String("only", "", "run a single artifact, e.g. \"Table 2\" or \"Fig. 6\"")
-		list     = flag.Bool("list", false, "list artifacts and exit")
-		ext      = flag.Bool("ext", false, "also run the extension analyses (beyond the paper's artifacts)")
-		verify   = flag.Bool("verify", false, "after printing, check artifacts against testdata/golden and the assertion manifest; exit nonzero on drift")
-		golDir   = flag.String("golden", "testdata/golden", "golden directory for -verify")
-		manifest = flag.String("manifest", "testdata/assertions.json", "assertion manifest for -verify (empty to skip assertions)")
+		only = flag.String("only", "", "run a single artifact, e.g. \"Table 2\" or \"Fig. 6\"")
+		list = flag.Bool("list", false, "list artifacts and exit")
+		ext  = flag.Bool("ext", false, "also run the extension analyses (beyond the paper's artifacts)")
 	)
 	flag.Parse()
 
@@ -69,17 +65,10 @@ func main() {
 	if *ext {
 		entries = append(entries, broadband.ExtensionExperiments()...)
 	}
-	// Fan the artifacts out over the worker pool; results are collected by
-	// index so the printed order matches the registry whatever the worker
-	// interleaving. Every failure is reported (not just the first) and any
-	// failure makes the run exit non-zero. An experiment error does not stop
-	// the others — only cancellation stops dispatch.
-	reports := make([]broadband.Report, len(entries))
-	errs := make([]error, len(entries))
-	ctxErr := par.ForNCtx(ctx, par.Workers(world.Config.Workers), len(entries), func(i int) error {
-		reports[i], errs[i] = broadband.Run(entries[i].ID, data, world.Config.Seed)
-		return nil
-	})
+	// Reports come back in registry order whatever the worker interleaving.
+	// Every failure is reported (not just the first) and any failure makes
+	// the run exit non-zero.
+	reports, errs, ctxErr := experiments.RunEach(ctx, entries, data, world.Config.Seed, world.Config.Workers)
 	if ctxErr != nil {
 		cli.Exit("bbrepro", ctxErr, 1)
 	}
@@ -95,35 +84,5 @@ func main() {
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "bbrepro: %d of %d artifacts failed\n", failed, len(entries))
 		os.Exit(1)
-	}
-	if *verify {
-		// Only the paper's registry artifacts carry goldens; with -ext the
-		// extension reports print above but are not gated.
-		arts := make([]golden.Artifact, 0, len(entries))
-		for i, e := range entries {
-			if _, ok := broadband.FindExperiment(e.ID); ok {
-				arts = append(arts, golden.Artifact{ID: e.ID, Obj: reports[i]})
-			}
-		}
-		var m *golden.Manifest
-		if *manifest != "" {
-			loaded, err := golden.LoadManifest(*manifest)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-				os.Exit(1)
-			}
-			m = loaded
-		}
-		r, err := golden.Verify(arts, *golDir, m)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprint(os.Stderr, r.Render())
-		if !r.OK() {
-			fmt.Fprintf(os.Stderr, "bbrepro: verify: %d of %d artifacts drifted\n", r.Failed(), len(r.Artifacts))
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bbrepro: verify: all %d artifacts match the goldens\n", len(r.Artifacts))
 	}
 }

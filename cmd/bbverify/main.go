@@ -27,9 +27,9 @@ import (
 
 	broadband "github.com/nwca/broadband"
 	"github.com/nwca/broadband/internal/cli"
+	"github.com/nwca/broadband/internal/experiments"
 	"github.com/nwca/broadband/internal/fsx"
 	"github.com/nwca/broadband/internal/golden"
-	"github.com/nwca/broadband/internal/par"
 )
 
 func main() {
@@ -60,21 +60,22 @@ func main() {
 	}
 
 	entries := broadband.Experiments()
-	arts := make([]golden.Artifact, len(entries))
-	runErrs := make([]error, len(entries))
-	ctxErr := par.ForNCtx(ctx, par.Workers(world.Config.Workers), len(entries), func(i int) error {
-		rep, err := broadband.Run(entries[i].ID, data, world.Config.Seed)
-		arts[i] = golden.Artifact{ID: entries[i].ID, Obj: rep}
-		runErrs[i] = err
-		return nil
-	})
+	reports, errs, ctxErr := experiments.RunEach(ctx, entries, data, world.Config.Seed, world.Config.Workers)
 	if ctxErr != nil {
 		cli.Exit("bbverify", ctxErr, 2)
 	}
+	// Name every failed artifact before giving up, not just the first.
+	arts := make([]golden.Artifact, len(entries))
+	failed := 0
 	for i, e := range entries {
-		if runErrs[i] != nil {
-			fail("%s: %v", e.ID, runErrs[i])
+		if errs[i] != nil {
+			fmt.Fprintf(os.Stderr, "bbverify: %s: %v\n", e.ID, errs[i])
+			failed++
 		}
+		arts[i] = golden.Artifact{ID: e.ID, Obj: reports[i]}
+	}
+	if failed > 0 {
+		fail("%d of %d artifacts failed", failed, len(entries))
 	}
 	fmt.Fprintf(os.Stderr, "bbverify: %d artifacts regenerated in %v (seed=%d, users=%d)\n",
 		len(arts), time.Since(start).Round(time.Millisecond), world.Config.Seed, len(data.Users))

@@ -3,9 +3,11 @@ package broadband_test
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
 	broadband "github.com/nwca/broadband"
+	"github.com/nwca/broadband/internal/experiments"
 )
 
 // TestFacadeStreamingRoundTrip drives every exported streaming constructor
@@ -149,15 +151,19 @@ func TestFacadeRegistryLookups(t *testing.T) {
 	if len(exts) == 0 {
 		t.Error("ExtensionExperiments is empty")
 	}
-	e, ok := broadband.FindExperiment("Table 1")
+	e, ok := experiments.Lookup("Table 1")
 	if !ok || e.ID != "Table 1" {
-		t.Errorf("FindExperiment(Table 1) = %+v, %v", e, ok)
+		t.Errorf("Lookup(Table 1) = %+v, %v", e, ok)
 	}
-	if _, ok := broadband.FindExperiment("Table 42"); ok {
-		t.Error("FindExperiment must reject unknown IDs")
+	if _, ok := experiments.Lookup("Table 42"); ok {
+		t.Error("Lookup must reject unknown IDs")
 	}
-	// Extensions are not reachable through FindExperiment.
-	if _, ok := broadband.FindExperiment(exts[0].ID); ok {
-		t.Errorf("FindExperiment must not search extensions (%s)", exts[0].ID)
+	// Run resolves extensions too, and rejects an unknown ID before it
+	// touches the dataset.
+	if e, ok := experiments.Lookup(exts[0].ID); !ok || e.ID != exts[0].ID {
+		t.Errorf("Lookup(%s) = %+v, %v", exts[0].ID, e, ok)
+	}
+	if _, err := broadband.Run("Table 42", nil, 1); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+		t.Errorf("Run(Table 42) = %v, want an unknown-experiment error", err)
 	}
 }

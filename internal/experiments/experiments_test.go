@@ -63,11 +63,11 @@ func TestRegistryRunsEverything(t *testing.T) {
 			t.Errorf("%s render looks empty: %q", e.ID, out)
 		}
 	}
-	if _, ok := Find("Table 2"); !ok {
-		t.Error("Find failed on a known id")
+	if _, ok := Lookup("Table 2"); !ok {
+		t.Error("Lookup failed on a known id")
 	}
-	if _, ok := Find("Table 99"); ok {
-		t.Error("Find resolved a bogus id")
+	if _, ok := Lookup("Table 99"); ok {
+		t.Error("Lookup resolved a bogus id")
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -52,24 +51,16 @@ func (e *ExtC) Render() string {
 	var b strings.Builder
 	b.WriteString(header(e.ID(), e.Title()))
 	fmt.Fprintf(&b, "  %-22s %-22s %16s %22s %7s\n", "Control", "Treatment", "NN matching", "QED stratification", "agree")
+	design := func(r core.Result, skipped bool) string {
+		if skipped {
+			return "(too few)"
+		}
+		holds, _, pairs := cells(r, false)
+		return strings.TrimSpace(holds) + " n=" + pairs
+	}
 	for _, r := range e.Rows {
-		nn := "(too few)"
-		if !r.NNSkipped {
-			star := ""
-			if !r.NN.Sig.Significant() {
-				star = "*"
-			}
-			nn = fmt.Sprintf("%.1f%%%s n=%d", 100*r.NN.Fraction(), star, r.NN.Pairs)
-		}
-		qed := "(too few)"
-		if !r.QEDSkipped {
-			star := ""
-			if !r.QED.Sig.Significant() {
-				star = "*"
-			}
-			qed = fmt.Sprintf("%.1f%%%s n=%d", 100*r.QED.Fraction(), star, r.QED.Pairs)
-		}
-		fmt.Fprintf(&b, "  %-22s %-22s %16s %22s %7v\n", r.Control, r.Treatment, nn, qed, r.Agree())
+		fmt.Fprintf(&b, "  %-22s %-22s %16s %22s %7v\n", r.Control, r.Treatment,
+			design(r.NN, r.NNSkipped), design(r.QED.Result, r.QEDSkipped), r.Agree())
 	}
 	return b.String()
 }
@@ -94,14 +85,9 @@ func RunExtC(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,
 		}
-		nn, err := exp.Run(rng.SplitN("nn", int(k)))
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			row.NNSkipped = true
-		case err != nil:
+		var err error
+		if row.NN, row.NNSkipped, err = tooFew(exp.Run(rng.SplitN("nn", int(k)))); err != nil {
 			return nil, err
-		default:
-			row.NN = nn
 		}
 		qed := core.QED{
 			Name:        fmt.Sprintf("qed %v", k),
@@ -111,14 +97,8 @@ func RunExtC(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Outcome:     dataset.PeakUsageNoBT,
 			MinPairs:    MinGroup,
 		}
-		qres, err := qed.Run(rng.SplitN("qed", int(k)))
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			row.QEDSkipped = true
-		case err != nil:
+		if row.QED, row.QEDSkipped, err = tooFew(qed.Run(rng.SplitN("qed", int(k)))); err != nil {
 			return nil, err
-		default:
-			row.QED = qres
 		}
 		if !row.NNSkipped || !row.QEDSkipped {
 			populated++

@@ -1,5 +1,13 @@
 package experiments
 
+import (
+	"context"
+
+	"github.com/nwca/broadband/internal/dataset"
+	"github.com/nwca/broadband/internal/par"
+	"github.com/nwca/broadband/internal/randx"
+)
+
 // Registry enumerates every reproduced table and figure in the paper's
 // presentation order. The repro driver and the benchmark harness iterate it.
 func Registry() []Entry {
@@ -27,12 +35,37 @@ func Registry() []Entry {
 	}
 }
 
-// Find returns the registry entry with the given ID.
-func Find(id string) (Entry, bool) {
-	for _, e := range Registry() {
+// Lookup resolves an artifact ID against the paper registry, then the
+// extensions.
+func Lookup(id string) (Entry, bool) {
+	for _, e := range append(Registry(), Extensions()...) {
 		if e.ID == id {
 			return e, true
 		}
 	}
 	return Entry{}, false
+}
+
+// Compute runs the entry against d. The artifact's RNG is a pure function
+// of (seed, ID), so a report never depends on which other artifacts ran,
+// in what order or on how many workers.
+func (e Entry) Compute(d *dataset.Dataset, seed uint64) (Report, error) {
+	return e.Run(d, randx.New(seed).Split(e.ID))
+}
+
+// RunEach computes every entry over a pool of workers (<= 0 selects
+// GOMAXPROCS, 1 runs sequentially) and collects the results by index, so
+// reports[i] and errs[i] belong to entries[i] whatever the interleaving.
+// An entry's failure does not stop the others; only cancellation stops
+// dispatch, and then ctxErr is ctx.Err() and every entry that never ran
+// has a nil report and a nil error.
+func RunEach(ctx context.Context, entries []Entry, d *dataset.Dataset, seed uint64, workers int) (reports []Report, errs []error, ctxErr error) {
+	reports = make([]Report, len(entries))
+	errs = make([]error, len(entries))
+	// fn never fails: ForNCtx would stop dispatch at the first error.
+	ctxErr = par.ForNCtx(ctx, workers, len(entries), func(i int) error {
+		reports[i], errs[i] = entries[i].Compute(d, seed)
+		return nil
+	})
+	return reports, errs, ctxErr
 }

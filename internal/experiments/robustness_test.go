@@ -44,13 +44,13 @@ func TestRunnersOnSwitchlessDataset(t *testing.T) {
 	clone.Switches = nil
 	// The switch-panel artifacts must error; everything else must run.
 	for _, id := range []string{"Table 1", "Fig. 4", "Fig. 5"} {
-		e, _ := Find(id)
+		e, _ := Lookup(id)
 		if _, err := e.Run(&clone, rng("noswitch"+id)); err == nil {
 			t.Errorf("%s should fail without switch records", id)
 		}
 	}
 	for _, id := range []string{"Fig. 1", "Table 2", "Fig. 10"} {
-		e, _ := Find(id)
+		e, _ := Lookup(id)
 		if _, err := e.Run(&clone, rng("noswitch"+id)); err != nil {
 			t.Errorf("%s should not need switches: %v", id, err)
 		}
@@ -70,13 +70,13 @@ func TestRunnersOnSingleCountryDataset(t *testing.T) {
 	}
 	runAllAgainst(t, &w.Data, "us-only")
 	for _, id := range []string{"Table 4", "Fig. 7", "Fig. 11", "Fig. 12"} {
-		e, _ := Find(id)
+		e, _ := Lookup(id)
 		if _, err := e.Run(&w.Data, rng("us"+id)); err == nil {
 			t.Errorf("%s should fail on a US-only world", id)
 		}
 	}
 	for _, id := range []string{"Fig. 1", "Fig. 2", "Table 1"} {
-		e, _ := Find(id)
+		e, _ := Lookup(id)
 		if _, err := e.Run(&w.Data, rng("us"+id)); err != nil {
 			t.Errorf("%s should survive a US-only world: %v", id, err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -31,12 +30,7 @@ type Table02 struct {
 }
 
 // Table02Row is one control/treatment class comparison.
-type Table02Row struct {
-	Control   stats.CapacityClass
-	Treatment stats.CapacityClass
-	Result    core.Result
-	Skipped   bool // too few matched pairs in this world
-}
+type Table02Row = Comparison[stats.CapacityClass]
 
 // ID implements Report.
 func (t *Table02) ID() string { return "Table 2" }
@@ -55,17 +49,8 @@ func (t *Table02) Render() string {
 		fmt.Fprintf(&b, "    %-22s %-22s %10s %12s %7s %5s\n", "Control", "Treatment", "% H holds", "p-value", "pairs", "FDR")
 		fi := 0
 		for _, r := range rows {
-			if r.Skipped {
-				fmt.Fprintf(&b, "    %-22s %-22s %10s %12s %7s %5s\n",
-					r.Control, r.Treatment, "-", "(too few)", "-", "-")
-				continue
-			}
-			star := ""
-			if !r.Result.Sig.Significant() {
-				star = "*"
-			}
 			fdrMark := "-"
-			if fi < len(fdr) {
+			if !r.Skipped && fi < len(fdr) {
 				if fdr[fi] {
 					fdrMark = "yes"
 				} else {
@@ -73,8 +58,8 @@ func (t *Table02) Render() string {
 				}
 				fi++
 			}
-			fmt.Fprintf(&b, "    %-22s %-22s %9.1f%%%s %12s %7d %5s\n",
-				r.Control, r.Treatment, 100*r.Result.Fraction(), star, formatP(r.Result.PValue()), r.Result.Pairs, fdrMark)
+			holds, p, pairs := cells(r.Result, r.Skipped)
+			fmt.Fprintf(&b, "    %-22s %-22s %s %12s %7s %5s\n", r.Control, r.Treatment, holds, p, pairs, fdrMark)
 		}
 	}
 	render("Dasu", t.Dasu, t.DasuFDR)
@@ -145,6 +130,7 @@ func qualityOnlyMatcher() core.Matcher {
 func capacityLadder(v dataset.View, first stats.CapacityClass, steps int, m core.Matcher, rng *randx.Source) ([]Table02Row, error) {
 	classes := byClass(v)
 	var rows []Table02Row
+	populated := 0
 	for k := first; k < first+stats.CapacityClass(steps); k++ {
 		row := Table02Row{Control: k, Treatment: k + 1}
 		exp := core.Experiment{
@@ -155,22 +141,14 @@ func capacityLadder(v dataset.View, first stats.CapacityClass, steps int, m core
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,
 		}
-		res, err := exp.Run(rng.SplitN("ladder", int(k)))
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			row.Skipped = true
-		case err != nil:
+		var err error
+		if row.Result, row.Skipped, err = tooFew(exp.Run(rng.SplitN("ladder", int(k)))); err != nil {
 			return nil, err
-		default:
-			row.Result = res
 		}
-		rows = append(rows, row)
-	}
-	populated := 0
-	for _, r := range rows {
-		if !r.Skipped {
+		if !row.Skipped {
 			populated++
 		}
+		rows = append(rows, row)
 	}
 	if populated == 0 {
 		return nil, fmt.Errorf("no populated ladder rungs")

@@ -42,13 +42,8 @@ func (t *Table03) Render() string {
 	b.WriteString(header(t.ID(), t.Title()))
 	fmt.Fprintf(&b, "  %-14s %-14s %10s %12s %7s\n", "Control", "Treatment", "% H holds", "p-value", "pairs")
 	for _, r := range t.Rows {
-		star := ""
-		if !r.Result.Sig.Significant() {
-			star = "*"
-		}
-		fmt.Fprintf(&b, "  %-14s %-14s %9.1f%%%s %12s %7d\n",
-			r.Control, r.Treatment, 100*r.Result.Fraction(), star,
-			formatP(r.Result.PValue()), r.Result.Pairs)
+		holds, p, pairs := cells(r.Result, false)
+		fmt.Fprintf(&b, "  %-14s %-14s %s %12s %7s\n", r.Control, r.Treatment, holds, p, pairs)
 	}
 	return b.String()
 }

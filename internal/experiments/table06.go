@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -25,12 +24,7 @@ type Table06 struct {
 }
 
 // Table06Row is one band comparison.
-type Table06Row struct {
-	Control   market.UpgradeCostGroup
-	Treatment market.UpgradeCostGroup
-	Result    core.Result
-	Skipped   bool
-}
+type Table06Row = Comparison[market.UpgradeCostGroup]
 
 // ID implements Report.
 func (t *Table06) ID() string { return "Table 6" }
@@ -48,17 +42,8 @@ func (t *Table06) Render() string {
 		fmt.Fprintf(&b, "  (%s)\n", name)
 		fmt.Fprintf(&b, "    %-16s %-16s %10s %12s %7s\n", "Control", "Treatment", "% H holds", "p-value", "pairs")
 		for _, r := range rows {
-			if r.Skipped {
-				fmt.Fprintf(&b, "    %-16s %-16s %10s %12s %7s\n", r.Control, r.Treatment, "-", "(too few)", "-")
-				continue
-			}
-			star := ""
-			if !r.Result.Sig.Significant() {
-				star = "*"
-			}
-			fmt.Fprintf(&b, "    %-16s %-16s %9.1f%%%s %12s %7d\n",
-				r.Control, r.Treatment, 100*r.Result.Fraction(), star,
-				formatP(r.Result.PValue()), r.Result.Pairs)
+			holds, p, pairs := cells(r.Result, r.Skipped)
+			fmt.Fprintf(&b, "    %-16s %-16s %s %12s %7s\n", r.Control, r.Treatment, holds, p, pairs)
 		}
 	}
 	render("a: average demand w/ BitTorrent", t.WithBT)
@@ -97,15 +82,12 @@ func RunTable06(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 				Outcome:   metric,
 				MinPairs:  MinGroup,
 			}
-			res, err := exp.Run(rng.SplitN(label, i))
 			row := Table06Row{Control: cmp.control, Treatment: cmp.treatment}
-			switch {
-			case errors.Is(err, core.ErrTooFewPairs):
-				row.Skipped = true
-			case err != nil:
+			var err error
+			if row.Result, row.Skipped, err = tooFew(exp.Run(rng.SplitN(label, i))); err != nil {
 				return nil, err
-			default:
-				row.Result = res
+			}
+			if !row.Skipped {
 				populated++
 			}
 			rows = append(rows, row)

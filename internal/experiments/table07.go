@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -53,16 +52,8 @@ func (t *Table07) Render() string {
 	fmt.Fprintf(&b, "  control group: %v\n", t.Control)
 	fmt.Fprintf(&b, "  %-18s %10s %12s %7s\n", "Treatment", "% H holds", "p-value", "pairs")
 	for _, r := range t.Rows {
-		if r.Skipped {
-			fmt.Fprintf(&b, "  %-18s %10s %12s %7s\n", r.Treatment, "-", "(too few)", "-")
-			continue
-		}
-		star := ""
-		if !r.Result.Sig.Significant() {
-			star = "*"
-		}
-		fmt.Fprintf(&b, "  %-18s %9.1f%%%s %12s %7d\n",
-			r.Treatment, 100*r.Result.Fraction(), star, formatP(r.Result.PValue()), r.Result.Pairs)
+		holds, p, pairs := cells(r.Result, r.Skipped)
+		fmt.Fprintf(&b, "  %-18s %s %12s %7s\n", r.Treatment, holds, p, pairs)
 	}
 	return b.String()
 }
@@ -97,15 +88,12 @@ func RunTable07(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,
 		}
-		res, err := exp.Run(rng.SplitN("latency", i))
 		row := Table07Row{Treatment: band}
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			row.Skipped = true
-		case err != nil:
+		var err error
+		if row.Result, row.Skipped, err = tooFew(exp.Run(rng.SplitN("latency", i))); err != nil {
 			return nil, err
-		default:
-			row.Result = res
+		}
+		if !row.Skipped {
 			populated++
 		}
 		t.Rows = append(t.Rows, row)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -31,12 +30,7 @@ type Table08 struct {
 }
 
 // Table08Row is one control/treatment band comparison.
-type Table08Row struct {
-	Control   lossBand
-	Treatment lossBand
-	Result    core.Result
-	Skipped   bool
-}
+type Table08Row = Comparison[lossBand]
 
 // ID implements Report.
 func (t *Table08) ID() string { return "Table 8" }
@@ -52,17 +46,8 @@ func (t *Table08) Render() string {
 	b.WriteString(header(t.ID(), t.Title()))
 	fmt.Fprintf(&b, "  %-18s %-20s %10s %12s %7s\n", "Control", "Treatment", "% H holds", "p-value", "pairs")
 	for _, r := range t.Rows {
-		if r.Skipped {
-			fmt.Fprintf(&b, "  %-18s %-20s %10s %12s %7s\n", r.Control, r.Treatment, "-", "(too few)", "-")
-			continue
-		}
-		star := ""
-		if !r.Result.Sig.Significant() {
-			star = "*"
-		}
-		fmt.Fprintf(&b, "  %-18s %-20s %9.1f%%%s %12s %7d\n",
-			r.Control, r.Treatment, 100*r.Result.Fraction(), star,
-			formatP(r.Result.PValue()), r.Result.Pairs)
+		holds, p, pairs := cells(r.Result, r.Skipped)
+		fmt.Fprintf(&b, "  %-18s %-20s %s %12s %7s\n", r.Control, r.Treatment, holds, p, pairs)
 	}
 	return b.String()
 }
@@ -102,15 +87,12 @@ func RunTable08(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Outcome:   dataset.MeanUsageNoBT,
 			MinPairs:  MinGroup,
 		}
-		res, err := exp.Run(rng.SplitN("loss", i))
 		row := Table08Row{Control: cmp.control, Treatment: cmp.treatment}
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			row.Skipped = true
-		case err != nil:
+		var err error
+		if row.Result, row.Skipped, err = tooFew(exp.Run(rng.SplitN("loss", i))); err != nil {
 			return nil, err
-		default:
-			row.Result = res
+		}
+		if !row.Skipped {
 			populated++
 		}
 		t.Rows = append(t.Rows, row)

@@ -22,21 +22,22 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForN runs fn(i) for every i in [0, n) across at most workers goroutines.
-// Every index runs exactly once; fn must write its result into caller-owned
-// storage at index i. All indices are executed even when some fail, and the
-// returned error is the lowest-indexed one — the same error a sequential
-// loop that ran to completion would pick, so error reporting is independent
-// of scheduling. workers <= 1 (or n <= 1) degrades to a plain loop on the
+// ForN runs fn(i) for every i in [0, n) across at most workers goroutines
+// (workers <= 0 selects GOMAXPROCS, as Workers resolves it). Every index
+// runs exactly once; fn must write its result into caller-owned storage at
+// index i. All indices are executed even when some fail, and the returned
+// error is the lowest-indexed one — the same error a sequential loop that
+// ran to completion would pick, so error reporting is independent of
+// scheduling. workers == 1 (or n <= 1) degrades to a plain loop on the
 // calling goroutine.
 func ForN(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if workers > n {
+	if workers = Workers(workers); workers > n {
 		workers = n
 	}
-	if workers <= 1 {
+	if workers == 1 {
 		var first error
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil && first == nil {
@@ -78,14 +79,15 @@ func ForN(workers, n int, fn func(i int) error) error {
 // if no fn failed but the context was cancelled, it is ctx.Err(). Unlike
 // ForN, not every index is guaranteed to run — use ForN when run-everything
 // semantics matter (e.g. reporting every failure, not just the first).
+// Workers resolve as in ForN.
 func ForNCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if workers > n {
+	if workers = Workers(workers); workers > n {
 		workers = n
 	}
-	if workers <= 1 {
+	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -15,6 +16,34 @@ func TestWorkers(t *testing.T) {
 	}
 	if Workers(0) != runtime.GOMAXPROCS(0) || Workers(-2) != runtime.GOMAXPROCS(0) {
 		t.Error("non-positive counts should resolve to GOMAXPROCS")
+	}
+}
+
+// TestForNCtxZeroWorkersIsConcurrent: workers <= 0 means GOMAXPROCS, not
+// sequential. With GOMAXPROCS(2) the two calls must run at once: they meet
+// on an unbuffered channel, which a plain loop never manages.
+func TestForNCtxZeroWorkersIsConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	meet := make(chan struct{})
+	err := ForNCtx(context.Background(), 0, 2, func(i int) error {
+		timeout := time.After(5 * time.Second)
+		if i == 0 {
+			select {
+			case meet <- struct{}{}:
+				return nil
+			case <-timeout:
+			}
+		} else {
+			select {
+			case <-meet:
+				return nil
+			case <-timeout:
+			}
+		}
+		return fmt.Errorf("index %d never met its peer: workers=0 ran sequentially", i)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

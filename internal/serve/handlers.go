@@ -285,7 +285,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, err := s.cache.get(resultKey{hash: e.Hash, artifact: entry.ID, seed: seed}, func() ([]byte, error) {
-		rep, err := broadband.Run(entry.ID, e.Dataset, seed)
+		rep, err := entry.Compute(e.Dataset, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -107,7 +107,7 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 	counts := make([]int, spec.Shards)
 	skipped := make([]map[string]int, spec.Shards)
 	pools := make([][]poolEntry, spec.Shards)
-	err = par.ForNCtx(ctx, par.Workers(cfg.Workers), spec.Shards, func(s int) error {
+	err = par.ForNCtx(ctx, cfg.Workers, spec.Shards, func(s int) error {
 		lo, hi := s*lay.total/spec.Shards, (s+1)*lay.total/spec.Shards
 		skipped[s] = make(map[string]int)
 		path, err := dataset.WriteUserShardCtx(ctx, spec.Dir, s, spec.Shards, spec.Gzip, func(uw *dataset.Writer[dataset.User]) error {

@@ -168,7 +168,7 @@ func (g *generator) populate() error {
 		return err
 	}
 	results := make([]slotResult, lay.total)
-	err = par.ForNCtx(g.ctx, par.Workers(g.cfg.Workers), lay.total, func(i int) error {
+	err = par.ForNCtx(g.ctx, g.cfg.Workers, lay.total, func(i int) error {
 		r, err := g.generateSlot(lay.slot(i))
 		results[i] = r
 		return err
