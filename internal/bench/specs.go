@@ -70,6 +70,7 @@ func Specs() []Spec {
 		{Name: "stream_encode_2000", Smoke: true, Run: benchStreamEncode},
 		{Name: "stream_decode_2000", Smoke: true, Run: benchStreamDecode},
 		{Name: "fluid_day", Smoke: true, Run: benchFluidDay},
+		{Name: "summarize_dasu_2d", Run: benchSummarizeDasu},
 		{Name: "packet_ndt", Smoke: true, Run: benchPacketNDT},
 		{Name: "simulator_churn", Smoke: true, Run: benchSimulatorChurn},
 		{Name: "server_query", Smoke: true, Run: benchServerQuery},
@@ -398,6 +399,30 @@ func benchFluidDay(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := s.Summarize(nil); err != nil {
+			b.Fatal(err)
+		}
+		s.Release()
+	}
+}
+
+// benchSummarizeDasu measures traffic summarization alone: one two-day
+// series, generated once, reduced to its demand metrics under DasuMask
+// (the end-host vantage every Dasu user and upgrade epoch is summarized
+// with).
+func benchSummarizeDasu(b *testing.B) {
+	g := &traffic.Generator{
+		Capacity: unit.MbpsOf(10),
+		Quality:  traffic.Quality{RTT: 0.04, Loss: 0.0005},
+		Profile:  traffic.Profile{NeedMbps: 3, BTUser: true, BTSessionsPerDay: 2.5},
+	}
+	s, err := g.Generate(2, randx.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Summarize(traffic.DasuMask); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,6 +62,13 @@ func (r FluidResult) Rates(interval float64) []float64 {
 // boundary) the max-min fair allocation is constant, so each flow's
 // remaining volume decreases linearly and the earliest completion is exact.
 func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) {
+	return s.RunInto(nil, flows, horizon)
+}
+
+// RunInto is Run with the counter slice supplied: the result's Counters
+// reuse dst's backing array (cleared first) when it is large enough, so a
+// caller simulating many households can recycle one buffer.
+func (s FluidSim) RunInto(dst []unit.ByteSize, flows []*FluidFlow, horizon float64) (FluidResult, error) {
 	if s.Capacity <= 0 {
 		return FluidResult{}, fmt.Errorf("netsim: fluid capacity must be positive, got %v", s.Capacity)
 	}
@@ -73,7 +80,11 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) 
 		interval = 30
 	}
 	nIntervals := int(math.Ceil(horizon / interval))
-	res := FluidResult{Counters: make([]unit.ByteSize, nIntervals)}
+	if cap(dst) < nIntervals {
+		dst = make([]unit.ByteSize, nIntervals)
+	}
+	res := FluidResult{Counters: dst[:nIntervals]}
+	clear(res.Counters)
 
 	// Sort flows by arrival; initialize remaining volumes.
 	pending := make([]*FluidFlow, len(flows))
@@ -112,14 +123,16 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) 
 		if next < len(pending) && pending[next].Arrival < stepEnd {
 			stepEnd = pending[next].Arrival
 		}
+		if len(active) == 0 {
+			// Idle: nothing moves and carry stays put, so skip the counter
+			// boundaries in between. Stepping through them would land on
+			// this same stepEnd.
+			now = stepEnd
+			continue
+		}
 		boundary := (math.Floor(now/interval) + 1) * interval
 		if boundary < stepEnd {
 			stepEnd = boundary
-		}
-
-		if len(active) == 0 {
-			now = stepEnd
-			continue
 		}
 
 		rates := scratch.maxMinFair(s.Capacity.BitsPerSecond(), active)
@@ -161,6 +174,7 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) 
 		whole := math.Floor(moved)
 		carry = moved - whole
 		res.Counters[idx] += unit.ByteSize(whole)
+		res.TotalBytes += unit.ByteSize(whole)
 
 		// Retire completed flows.
 		live := active[:0]
@@ -178,9 +192,6 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) 
 		now = stepEnd
 	}
 
-	for _, c := range res.Counters {
-		res.TotalBytes += c
-	}
 	return res, nil
 }
 

@@ -197,6 +197,7 @@ func (g *generator) tryUpgrade(u *dataset.User) (dataset.Switch, bool, error) {
 		return dataset.Switch{}, false, err
 	}
 	after, err := series.Summarize(traffic.DasuMask)
+	series.Release()
 	if err != nil {
 		return dataset.Switch{}, false, err
 	}

@@ -341,6 +341,7 @@ func (g *generator) realizeUser(id int64, prof market.Profile, year int, vantage
 		mask = traffic.DasuMask
 	}
 	sum, err := series.Summarize(mask)
+	series.Release()
 	if err != nil {
 		return nil, err
 	}

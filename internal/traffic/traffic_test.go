@@ -330,4 +330,11 @@ func TestSummarizeErrors(t *testing.T) {
 	if _, err := s.Summarize(none); err == nil {
 		t.Error("all-masked series should error")
 	}
+	// Series has exported fields: a hand-built one may omit BTActive.
+	for _, flags := range []int{0, 9, 11} {
+		s = &Series{Interval: 30, Counters: make([]unit.ByteSize, 10), BTActive: make([]bool, flags)}
+		if _, err := s.Summarize(nil); err == nil {
+			t.Errorf("%d BitTorrent flags for 10 counters should error", flags)
+		}
+	}
 }
